@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, metrics, model, objective, trainer
+from . import dataio, metrics, model, trainer
 from .dataio import SynthConfig
 from .model import ModelConfig
 from .objective import LossWeights
@@ -105,7 +105,6 @@ def _cmd_train(args):
         seed=int(seed),
         loss=loss,
         checkpoint_every=_resolve(args, cfg_file, "checkpoint_every", 0),
-        workers=_resolve(args, cfg_file, "workers", 1),
     )
     try:
         cfg.validate()
@@ -135,6 +134,9 @@ def _cmd_score(args):
         raise CliError(str(e), code=2)
     except (dataio.ManifestError, ValueError) as e:
         raise CliError(str(e))
+    if dataset.videos and dataset.videos[0].dim != cfg.model.d:
+        raise CliError(f"{manifest}: features have D={dataset.videos[0].dim}, "
+                       f"checkpoint {ckpt_path} expects D={cfg.model.d}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for v in dataset.videos:
@@ -174,7 +176,7 @@ def _cmd_eval(args):
     try:
         report = metrics.evaluate(dataset.videos, frame_scores,
                                   per_video=per_video)
-    except metrics.DegenerateLabelsError as e:
+    except ValueError as e:
         raise CliError(str(e))
     for line in report.summary_lines():
         print(line)
@@ -237,7 +239,8 @@ def _cmd_gradcheck(args):
 def gradcheck_full_model(t=8, d=8, heads=2, seed=0, tol=1e-4, eps=1e-5,
                          hidden=(6, 4), k=2, margin=3.0):
     """Finite-difference check through the whole network plus the full
-    four-term objective on a two-video batch, dropout off."""
+    four-term objective on a two-video batch, dropout off. The loss is
+    built by `trainer.batch_loss`, the same function training runs."""
     from .diffcore import finite_diff_check
     from .model import MultiScaleFeatures
 
@@ -254,12 +257,8 @@ def gradcheck_full_model(t=8, d=8, heads=2, seed=0, tol=1e-4, eps=1e-5,
     params = model.init_params(mcfg, seed)
 
     def build(p):
-        from .diffcore import Tape
-        tape = Tape()
-        leaves = {name: tape.leaf(v, name=name) for name, v in p.items()}
-        forwards = [model.build_forward(tape, leaves, msf, mcfg, mode="eval")
-                    for msf in msfs]
-        total, _ = objective.total_loss(forwards, labels, weights)
+        total, _ = trainer.batch_loss(p, msfs, labels, mcfg, weights, "eval",
+                                      [None] * len(msfs))
         return total
 
     return finite_diff_check(build, params, eps=eps, tol=tol, seed=seed)
@@ -295,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int)
     p.add_argument("--dropout", type=float)
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("score", help="score a manifest with a checkpoint")

@@ -37,7 +37,6 @@ __all__ = [
     "row_norms",
     "topk_mean",
     "backward",
-    "backward_from",
     "finite_diff_check",
 ]
 
@@ -360,32 +359,30 @@ def _accumulate(grads: dict[int, np.ndarray], node: Node, g: np.ndarray):
         grads[i] = g
 
 
-def backward_from(tape: Tape, seeds: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
-    """Reverse sweep seeded with cotangents at given node indices.
+def backward(loss: Node) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss node with respect to every named leaf
+    (exact zeros if unreached).
 
-    Returns gradients for every named leaf (exact zeros if unreached).
+    A node's cotangent is dropped once it has been passed to its parents,
+    so a sweep over a long tape holds only the cotangents still pending.
     The tape is not modified; repeated calls give identical results.
     """
-    grads: dict[int, np.ndarray] = {i: np.asarray(g, dtype=np.float64)
-                                    for i, g in seeds.items()}
-    for node in reversed(tape.nodes):
-        g = grads.get(node.index)
-        if g is None:
-            continue
-        for parent, vjp in node.parents:
-            _accumulate(grads, parent, vjp(g))
-    out = {}
-    for name, leaf in tape.leaves.items():
-        g = grads.get(leaf.index)
-        out[name] = np.zeros_like(leaf.value) if g is None else g
-    return out
-
-
-def backward(loss: Node) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss node with respect to every named leaf."""
     if loss.value.shape != (1, 1):
         raise ValueError(f"loss must be scalar (1x1), got shape {loss.value.shape}")
-    return backward_from(loss.tape, {loss.index: np.ones((1, 1))})
+    tape = loss.tape
+    grads: dict[int, np.ndarray] = {loss.index: np.ones((1, 1))}
+    reached: dict[str, np.ndarray] = {}
+    for node in reversed(tape.nodes[:loss.index + 1]):
+        g = grads.pop(node.index, None)
+        if g is None:
+            continue
+        if node.name is not None:
+            reached[node.name] = g
+        for parent, vjp in node.parents:
+            _accumulate(grads, parent, vjp(g))
+    return {name: reached[name] if name in reached
+            else np.zeros_like(leaf.value)
+            for name, leaf in tape.leaves.items()}
 
 
 @dataclass

@@ -116,6 +116,8 @@ def evaluate(videos: list[VideoRecord], frame_scores: dict[str, np.ndarray],
         if scores.size != v.n_frames:
             raise ValueError(
                 f"{v.video_id}: {scores.size} scores for {v.n_frames} frames")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError(f"{v.video_id}: non-finite frame score")
         gt = frame_ground_truth(v)
         all_scores.append(scores)
         all_labels.append(gt)

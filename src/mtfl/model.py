@@ -239,10 +239,11 @@ def classify(x: Node, leaves, config: ModelConfig, mode: str = "eval",
     return dc.sigmoid(_project(h, leaves, "clf.fc3"))
 
 
-def build_forward(tape: Tape, leaves, msf: MultiScaleFeatures,
-                  config: ModelConfig, mode: str = "eval",
-                  rng: np.random.Generator | None = None) -> tuple[Node, Node]:
-    """Assemble the full network on `tape`; returns (fused X, snippet scores).
+def forward(msf: MultiScaleFeatures, leaves: dict[str, Node],
+            config: ModelConfig, mode: str = "eval",
+            rng: np.random.Generator | None = None) -> tuple[Tape, Node, Node]:
+    """Assemble the full network on the tape that owns the parameter
+    `leaves`; returns (tape, fused X, snippet scores).
 
     Disabled stages are bypassed: PFL passes the scale matrices through;
     with LTL (resp. GTL) off, the other branch's output is duplicated to
@@ -252,6 +253,7 @@ def build_forward(tape: Tape, leaves, msf: MultiScaleFeatures,
     the input scales.
     """
     msf.validate()
+    tape = next(iter(leaves.values())).tape
     f_s = tape.constant(msf.f_s)
     f_m = tape.constant(msf.f_m)
     f_l = tape.constant(msf.f_l)
@@ -281,14 +283,4 @@ def build_forward(tape: Tape, leaves, msf: MultiScaleFeatures,
         x = dc.concat_cols(list(halves)) if halves is not None else pair_mean
 
     scores = classify(x, leaves, config, mode=mode, rng=rng)
-    return x, scores
-
-
-def forward(msf: MultiScaleFeatures, params: dict[str, np.ndarray],
-            config: ModelConfig, mode: str = "eval",
-            rng: np.random.Generator | None = None):
-    """Convenience wrapper building a private tape; returns (tape, X, scores)."""
-    tape = Tape()
-    leaves = {name: tape.leaf(value, name=name) for name, value in params.items()}
-    x, scores = build_forward(tape, leaves, msf, config, mode=mode, rng=rng)
     return tape, x, scores

@@ -8,6 +8,7 @@ abnormal videos.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import diffcore as dc
@@ -26,8 +27,8 @@ class LossWeights:
 
     def validate(self):
         for name in ("lambda_fm", "lambda1", "lambda2", "margin"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         return self

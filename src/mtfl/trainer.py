@@ -10,10 +10,10 @@ as name length + name + rows + cols + raw little-endian float64 values.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,8 @@ import numpy as np
 from . import model as model_mod
 from . import objective
 from .dataio import Dataset, to_multiscale
-from .diffcore import Tape, backward, backward_from
-from .model import ModelConfig
+from .diffcore import Node, Tape, backward
+from .model import ModelConfig, MultiScaleFeatures
 from .objective import LossBreakdown, LossWeights
 
 CKPT_MAGIC = b"MTFC"
@@ -63,19 +63,22 @@ class TrainConfig:
     seed: int = 0
     loss: LossWeights = field(default_factory=LossWeights)
     checkpoint_every: int = 0
-    workers: int = 1
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be nonnegative")
+        # Chained comparisons are false for NaN, so NaN is rejected too.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be finite and positive")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight decay must be finite and nonnegative")
         if self.batch_normal < 1 or self.batch_abnormal < 1:
             raise ValueError("batch halves must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         self.model.validate()
         self.loss.validate()
+        if self.loss.k > self.model.t:
+            raise ValueError(f"top-k k={self.loss.k} exceeds the snippet "
+                             f"count T={self.model.t}")
         return self
 
 
@@ -137,57 +140,36 @@ def _video_rng(seed: int, step: int, video_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, step, video_index]))
 
 
-def _forward_one(args):
-    msf, params, config, mode, rng = args
-    tape, x, s = model_mod.forward(msf, params, config, mode=mode, rng=rng)
-    return tape, x, s
+def batch_loss(params: dict[str, np.ndarray],
+               msfs: list[MultiScaleFeatures], labels: list[int],
+               model_cfg: ModelConfig, weights: LossWeights, mode: str,
+               rngs: list) -> tuple[Node, LossBreakdown]:
+    """The objective over one batch, built on a single tape: the parameters
+    become leaves once and every video's forward shares them. `rngs` holds
+    one dropout generator (or None) per video."""
+    tape = Tape()
+    leaves = {name: tape.leaf(value, name=name)
+              for name, value in params.items()}
+    forwards = [model_mod.forward(msf, leaves, model_cfg, mode=mode,
+                                  rng=rng)[1:]
+                for msf, rng in zip(msfs, rngs)]
+    return objective.total_loss(forwards, labels, weights)
 
 
 def batch_gradients(dataset: Dataset, indices: list[int],
                     params: dict[str, np.ndarray], cfg: TrainConfig,
-                    step: int, mode: str = "train",
-                    executor: ThreadPoolExecutor | None = None):
-    """Loss gradients for one batch, staged per video so forwards/backwards
-    can run in parallel; reduction is in fixed batch order regardless of
-    worker count.
+                    step: int, mode: str = "train"):
+    """Loss gradients for one batch from a single reverse sweep.
 
     Returns (grads, LossBreakdown).
     """
-    mcfg = cfg.model
-    jobs = []
-    for slot, i in enumerate(indices):
-        rng = _video_rng(cfg.seed, step, slot) if mode == "train" else None
-        jobs.append((to_multiscale(dataset.videos[i], mcfg.t), params, mcfg,
-                     mode, rng))
-    if executor is not None:
-        per_video = list(executor.map(_forward_one, jobs))
-    else:
-        per_video = [_forward_one(j) for j in jobs]
-
-    # Couple the per-video outputs through the loss on a separate tape.
-    loss_tape = Tape()
-    forwards = []
-    for slot, (tape, x, s) in enumerate(per_video):
-        forwards.append((loss_tape.leaf(x.value, name=f"x{slot}"),
-                         loss_tape.leaf(s.value, name=f"s{slot}")))
+    msfs = [to_multiscale(dataset.videos[i], cfg.model.t) for i in indices]
     labels = [dataset.videos[i].label for i in indices]
-    total, breakdown = objective.total_loss(forwards, labels, cfg.loss)
-    boundary = backward(total)
-
-    def one_video_grads(slot):
-        tape, x, s = per_video[slot]
-        return backward_from(tape, {x.index: boundary[f"x{slot}"],
-                                    s.index: boundary[f"s{slot}"]})
-    if executor is not None:
-        partials = list(executor.map(one_video_grads, range(len(per_video))))
-    else:
-        partials = [one_video_grads(i) for i in range(len(per_video))]
-
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
-    for partial in partials:  # fixed order: deterministic reduction
-        for name, g in partial.items():
-            grads[name] = grads[name] + g
-    return grads, breakdown
+    rngs = [_video_rng(cfg.seed, step, slot) if mode == "train" else None
+            for slot in range(len(indices))]
+    total, breakdown = batch_loss(params, msfs, labels, cfg.model, cfg.loss,
+                                  mode, rngs)
+    return backward(total), breakdown
 
 
 def steps_per_epoch(dataset: Dataset, cfg: TrainConfig) -> int:
@@ -210,8 +192,6 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
     params = model_mod.init_params(cfg.model, cfg.seed)
     state = AdamState.zeros_like(params)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C4]))
-    executor = (ThreadPoolExecutor(max_workers=cfg.workers)
-                if cfg.workers > 1 else None)
     log: list[tuple[int, LossBreakdown]] = []
     log_file = open(log_path, "w") if log_path else None
     if log_file:
@@ -225,8 +205,7 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
                     dataset, rng, cfg.batch_normal, cfg.batch_abnormal)
                 indices = normals + abnormals
                 grads, breakdown = batch_gradients(
-                    dataset, indices, params, cfg, step, mode="train",
-                    executor=executor)
+                    dataset, indices, params, cfg, step, mode="train")
                 if not np.isfinite(breakdown.total):
                     raise RuntimeError(
                         f"non-finite loss {breakdown.total} at step {step}")
@@ -245,8 +224,6 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
         if out_dir is not None:
             save_checkpoint(Path(out_dir) / "final.mtfc", cfg, params, state)
     finally:
-        if executor is not None:
-            executor.shutdown()
         if log_file:
             log_file.close()
     return params, state, log
@@ -254,8 +231,11 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
 
 def score_video(record, params, cfg_model: ModelConfig) -> np.ndarray:
     """Eval-mode snippet scores for one video."""
+    tape = Tape()
+    leaves = {name: tape.leaf(value, name=name)
+              for name, value in params.items()}
     msf = to_multiscale(record, cfg_model.t)
-    _, _, s = model_mod.forward(msf, params, cfg_model, mode="eval")
+    _, _, s = model_mod.forward(msf, leaves, cfg_model, mode="eval")
     return s.value.ravel()
 
 
@@ -306,14 +286,30 @@ def _config_to_json(cfg: TrainConfig, step: int) -> bytes:
                       sort_keys=True).encode("utf-8")
 
 
-def _config_from_json(raw: bytes) -> tuple[TrainConfig, int]:
-    blob = json.loads(raw.decode("utf-8"))
-    t = dict(blob["train"])
-    m = dict(t.pop("model"))
-    m["hidden"] = tuple(m["hidden"])
-    loss = LossWeights(**t.pop("loss"))
-    cfg = TrainConfig(model=ModelConfig(**m), loss=loss, **t)
-    return cfg, int(blob["step"])
+def _from_header(cls, blob: dict, **nested):
+    """`cls` from a header object that must hold exactly its fields."""
+    odd = set(blob) ^ {f.name for f in fields(cls)}
+    if odd:
+        raise ValueError(
+            f"{cls.__name__} fields missing or unknown: {sorted(odd)}")
+    return cls(**{**blob, **nested})
+
+
+def _config_from_json(raw: bytes, path) -> TrainConfig:
+    try:
+        blob = json.loads(raw.decode("utf-8"))
+        if set(blob) != {"train", "step", "seed"}:
+            raise ValueError(f"header keys {sorted(blob)}")
+        t = dict(blob["train"])
+        t.pop("workers", None)  # retired setting, still in older headers
+        m = dict(t["model"])
+        m["hidden"] = tuple(m["hidden"])
+        return _from_header(TrainConfig, t,
+                            model=_from_header(ModelConfig, m),
+                            loss=_from_header(LossWeights, t["loss"]))
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: bad checkpoint header "
+                              f"({type(e).__name__}: {e})") from None
 
 
 def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
@@ -359,5 +355,5 @@ def load_checkpoint(path):
     stored_crc = struct.unpack("<I", raw[-4:])[0]
     if zlib.crc32(raw[8:-4]) != stored_crc:
         raise ChecksumError(f"{path}: CRC mismatch")
-    cfg, _ = _config_from_json(header)
-    return cfg, params, AdamState(m=m, v=v, step=step)
+    return (_config_from_json(header, path), params,
+            AdamState(m=m, v=v, step=step))

@@ -102,30 +102,29 @@ def test_criterion_3_synthetic_end_to_end(synth_pipeline):
                   f"runtime={synth_pipeline['runtime']:.0f}s")
 
 
-def _small_training(workers=1, epochs=3):
+def _small_training(log_path, epochs=3):
     cfg = SynthConfig(n_normal_train=6, n_abnormal_train=6,
                       n_normal_test=2, n_abnormal_test=2, d=8,
                       frames_range=(64, 128))
     ds, _ = synth_generate(cfg, 9)
     tcfg = TrainConfig(model=ModelConfig(d=8, t=8, heads=2, hidden=(6, 4)),
                        epochs=epochs, batch_normal=4, batch_abnormal=4,
-                       seed=5, workers=workers,
-                       loss=LossWeights(k=2, margin=4.0))
-    return train(ds, tcfg)
+                       seed=5, loss=LossWeights(k=2, margin=4.0))
+    return train(ds, tcfg, log_path=log_path)
 
 
-def test_criterion_4_determinism():
-    _, _, log_a = _small_training()
-    _, _, log_b = _small_training()
+def test_criterion_4_determinism(tmp_path):
+    p_a, _, log_a = _small_training(tmp_path / "a.csv")
+    p_b, _, log_b = _small_training(tmp_path / "b.csv")
     max_dev = max(abs(a[1].total - b[1].total) for a, b in zip(log_a, log_b))
-    p1, _, log1 = _small_training(workers=1)
-    p4, _, log4 = _small_training(workers=4)
-    workers_equal = (all(np.array_equal(p1[k], p4[k]) for k in p1)
-                     and all(a[1].total == b[1].total
-                             for a, b in zip(log1, log4)))
-    report(4, max_dev <= 1e-12 and workers_equal,
+    params_equal = (p_a.keys() == p_b.keys()
+                    and all(np.array_equal(p_a[k], p_b[k]) for k in p_a))
+    logs_equal = ((tmp_path / "a.csv").read_bytes()
+                  == (tmp_path / "b.csv").read_bytes())
+    report(4, max_dev <= 1e-12 and params_equal and logs_equal,
            f"max per-step log deviation {max_dev:.1e}, "
-           f"workers 4 == workers 1: {workers_equal}")
+           f"params bit-identical: {params_equal}, "
+           f"loss logs byte-identical: {logs_equal}")
 
 
 def test_criterion_5_loss_decomposition():
@@ -164,7 +163,10 @@ def test_criterion_6_shape_and_attention_invariants():
         msf = MultiScaleFeatures(
             f_s=rng.standard_normal((t, d)), f_m=rng.standard_normal((t, d)),
             f_l=rng.standard_normal((t, d)))
-        _, x, scores = model.forward(msf, params, cfg)
+        from mtfl.diffcore import Tape
+        tape = Tape()
+        leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
+        _, x, scores = model.forward(msf, leaves, cfg)
         assert x.value.shape == (t, d)
         assert scores.value.shape == (t, 1)
         assert np.all((scores.value > 0) & (scores.value < 1))
@@ -174,9 +176,6 @@ def test_criterion_6_shape_and_attention_invariants():
             for head in model.attention_weights(q, kv, params, prefix, heads):
                 assert np.allclose(head.sum(axis=1), 1.0, atol=1e-6)
         # internal stage shapes per the fusion design
-        from mtfl.diffcore import Tape
-        tape = Tape()
-        leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
         f_s, f_m, f_l = (tape.constant(m) for m in (msf.f_s, msf.f_m, msf.f_l))
         f_lm, f_ms, f_sl = model.pfl_forward(f_l, f_m, f_s, leaves, cfg)
         assert f_lm.value.shape == f_ms.value.shape == f_sl.value.shape == (t, d)

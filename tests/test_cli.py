@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtfl
 from mtfl import dataio
 from mtfl.cli import run
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
+
+from test_trainer import header_of, with_header
 
 
 def run_capture(capsys, argv):
@@ -20,6 +27,29 @@ def small_synth(tmp_path, seed=5):
                 "--abnormal", "4", "--d", "8", "--seed", str(seed)])
     assert code == 0
     return data
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def write_curves(scores_dir, manifest):
+    """A constant `frame,score,gt` curve per test video."""
+    scores_dir.mkdir()
+    for v in dataio.read_manifest(manifest, split="test").videos:
+        (scores_dir / f"{v.video_id}.csv").write_text(
+            "".join(f"{f},0.5,0\n" for f in range(v.n_frames)))
+
+
+def run_cli_process(argv, timeout=60):
+    """The CLI in a child process, killed after `timeout` seconds."""
+    src = str(Path(mtfl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "mtfl.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
 
 
 def train_small(tmp_path, data, extra=()):
@@ -80,6 +110,26 @@ class TestTrainCommand:
     def test_unknown_flag_rejected(self, tmp_path):
         assert run(["train", "--nonsense"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"], ["--lr", "-1e-3"],
+        ["--weight-decay", "nan"], ["--weight-decay", "inf"],
+        ["--weight-decay", "-1"], ["--k", "5", "--t", "4"],
+        ["--margin", "nan"], ["--lambda-fm", "inf"],
+        ["--workers", "2"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_invalid_setting_rejected_before_writing(self, tmp_path, capsys,
+                                                     flags):
+        data = small_synth(tmp_path)
+        out = tmp_path / "run"
+        code, _, err = run_capture(capsys, [
+            "train", "--manifest", str(data / "train_manifest.csv"),
+            "--out-dir", str(out), "--epochs", "1", "--batch-half", "2",
+            "--seed", "1", "--t", "8", "--heads", "2", "--margin", "4",
+            *flags])
+        assert code == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestScoreEvalCommands:
     def test_full_pipeline_output_format(self, tmp_path, capsys):
@@ -100,6 +150,85 @@ class TestScoreEvalCommands:
                      if "=" in line)
         assert 0.0 <= float(lines["AUC"]) <= 1.0
         assert 0.0 <= float(lines["AP"]) <= 1.0
+
+    def test_feature_dimension_mismatch_is_validation_error(self, tmp_path,
+                                                             capsys):
+        out = train_small(tmp_path, small_synth(tmp_path))  # D=8
+        wide = tmp_path / "wide"
+        assert run(["synth", "--out-dir", str(wide), "--normal", "4",
+                    "--abnormal", "4", "--d", "12", "--seed", "5"]) == 0
+        scores = tmp_path / "scores"
+        code, _, err = run_capture(capsys, [
+            "score", "--checkpoint", str(out / "final.mtfc"),
+            "--manifest", str(wide / "test_manifest.csv"),
+            "--out-dir", str(scores)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert "D=12" in err and "D=8" in err
+        assert not scores.exists()
+
+    def test_checkpoint_from_older_version_scores(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        ckpt = train_small(tmp_path, data) / "final.mtfc"
+        raw = ckpt.read_bytes()
+        header = json.loads(header_of(raw))
+        header["train"]["workers"] = 1  # a setting older versions wrote
+        ckpt.write_bytes(with_header(raw, json.dumps(header).encode()))
+        code, _, err = run_capture(capsys, [
+            "score", "--checkpoint", str(ckpt),
+            "--manifest", str(data / "test_manifest.csv"),
+            "--out-dir", str(tmp_path / "scores")])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("header", [
+        b"{not json", b'{"train": {}, "step": 0, "seed": 0}'],
+        ids=["invalid-json", "empty-train-config"])
+    def test_unparsable_checkpoint_header_is_runtime_error(
+            self, tmp_path, capsys, header):
+        data = small_synth(tmp_path)
+        ckpt = train_small(tmp_path, data) / "final.mtfc"
+        ckpt.write_bytes(with_header(ckpt.read_bytes(), header))
+        code, _, err = run_capture(capsys, [
+            "score", "--checkpoint", str(ckpt),
+            "--manifest", str(data / "test_manifest.csv"),
+            "--out-dir", str(tmp_path / "scores")])
+        assert code == 2
+        assert_one_line_error(err)
+        assert "header" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_validation_error(self, tmp_path, bad):
+        data = small_synth(tmp_path)
+        manifest = data / "test_manifest.csv"
+        victim = dataio.read_manifest(manifest, split="test").videos[-1]
+        scores = tmp_path / "scores"
+        write_curves(scores, manifest)
+        curve = scores / f"{victim.video_id}.csv"
+        lines = curve.read_text().splitlines(True)
+        lines[3] = f"3,{bad},0\n"
+        curve.write_text("".join(lines))
+        # NaN != NaN defeats the tie grouping of AUC/AP and can loop forever;
+        # the child is killed at the timeout, so a regression fails.
+        proc = run_cli_process(["eval", "--scores-dir", str(scores),
+                                "--manifest", str(manifest)], timeout=60)
+        assert proc.returncode == 1
+        assert_one_line_error(proc.stderr)
+        assert victim.video_id in proc.stderr
+
+    def test_curve_length_mismatch_is_validation_error(self, tmp_path,
+                                                       capsys):
+        data = small_synth(tmp_path)
+        manifest = data / "test_manifest.csv"
+        victim = dataio.read_manifest(manifest, split="test").videos[0]
+        scores = tmp_path / "scores"
+        write_curves(scores, manifest)
+        curve = scores / f"{victim.video_id}.csv"
+        curve.write_text("".join(curve.read_text().splitlines(True)[:-1]))
+        code, _, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(scores), "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert victim.video_id in err
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         data = small_synth(tmp_path)

@@ -77,8 +77,8 @@ class TestInitParams:
 def forward_with_leaves(cfg, params, msf, mode="eval", rng=None):
     tape = Tape()
     leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
-    return tape, leaves, *model.build_forward(tape, leaves, msf, cfg,
-                                              mode=mode, rng=rng)
+    _, x, scores = model.forward(msf, leaves, cfg, mode=mode, rng=rng)
+    return tape, leaves, x, scores
 
 
 class TestCrossAttention:
@@ -296,7 +296,8 @@ class TestClassify:
 class TestForward:
     def test_shapes_and_score_range(self):
         params = model.init_params(TINY, 0)
-        _, x, scores = model.forward(random_msf(TINY, 7), params, TINY)
+        _, _, x, scores = forward_with_leaves(TINY, params,
+                                              random_msf(TINY, 7))
         assert x.value.shape == (TINY.t, TINY.d)
         assert scores.value.shape == (TINY.t, 1)
         assert np.all((scores.value > 0) & (scores.value < 1))
@@ -316,10 +317,10 @@ class TestForward:
         params = model.init_params(TINY, 9)
         msf = random_msf(TINY, 9)
         perm = np.roll(np.arange(TINY.t), 3)
-        _, x1, _ = model.forward(msf, params, TINY)
+        _, _, x1, _ = forward_with_leaves(TINY, params, msf)
         permuted = MultiScaleFeatures(f_s=msf.f_s[perm], f_m=msf.f_m[perm],
                                       f_l=msf.f_l[perm])
-        _, x2, _ = model.forward(permuted, params, TINY)
+        _, _, x2, _ = forward_with_leaves(TINY, params, permuted)
         assert not np.allclose(x1.value[perm], x2.value, atol=1e-8)
 
     def test_gradient_flows_to_every_parameter(self):

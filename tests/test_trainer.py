@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -125,14 +129,15 @@ class TestTrain:
             assert abs(ba.total - bb.total) <= 1e-12
             assert abs(ba.bce - bb.bce) <= 1e-12
 
-    def test_worker_count_does_not_change_results(self):
+    def test_same_seed_bit_identical_params_and_log_bytes(self, tmp_path):
         ds, _ = tiny_dataset()
-        p1, _, log1 = train(ds, tiny_train_config(workers=1))
-        p4, _, log4 = train(ds, tiny_train_config(workers=4))
+        p1, _, _ = train(ds, tiny_train_config(), log_path=tmp_path / "a.csv")
+        p2, _, _ = train(ds, tiny_train_config(), log_path=tmp_path / "b.csv")
+        assert p1.keys() == p2.keys()
         for k in p1:
-            assert np.array_equal(p1[k], p4[k])
-        for (_, b1), (_, b4) in zip(log1, log4):
-            assert b1.total == b4.total
+            assert np.array_equal(p1[k], p2[k]), k
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
 
     def test_zero_lambdas_total_equals_bce(self):
         ds, _ = tiny_dataset()
@@ -162,6 +167,18 @@ class TestTrain:
         assert len(terms) == 5
         for term in terms:
             float(term)
+
+
+def header_of(raw: bytes) -> bytes:
+    (n,) = struct.unpack("<I", raw[8:12])
+    return raw[12:12 + n]
+
+
+def with_header(raw: bytes, header: bytes) -> bytes:
+    """The checkpoint `raw` with its JSON header replaced and a valid CRC."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    body = struct.pack("<I", len(header)) + header + raw[12 + n:-4]
+    return raw[:8] + body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestCheckpoint:
@@ -216,6 +233,40 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_header_with_retired_workers_key_loads(self, tmp_path):
+        cfg, params, _, path = self._trained(tmp_path)
+        header = json.loads(header_of(path.read_bytes()))
+        header["train"]["workers"] = 1  # as written by older versions
+        path.write_bytes(with_header(path.read_bytes(),
+                                     json.dumps(header).encode()))
+        cfg2, params2, _ = load_checkpoint(path)
+        assert cfg2 == cfg
+        for k in params:
+            assert np.array_equal(params[k], params2[k])
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"{not json",
+        lambda h: b"\xff\xfe",
+        lambda h: json.dumps({**h, "train": {
+            k: v for k, v in h["train"].items() if k != "epochs"}}).encode(),
+        lambda h: json.dumps({**h, "train": {**h["train"],
+                                             "threads": 2}}).encode(),
+        lambda h: json.dumps({**h, "train": {**h["train"], "model": {
+            **h["train"]["model"], "width": 3}}}).encode(),
+        lambda h: json.dumps({k: v for k, v in h.items()
+                              if k != "step"}).encode(),
+        lambda h: json.dumps({**h, "epoch": 3}).encode(),
+        lambda h: json.dumps([h]).encode(),
+    ], ids=["invalid-json", "invalid-utf8", "missing-field", "unknown-field",
+            "unknown-model-field", "missing-step", "unknown-top-level-key",
+            "not-an-object"])
+    def test_unparsable_header_is_checkpoint_error(self, tmp_path, edit):
+        _, _, _, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(with_header(raw, edit(json.loads(header_of(raw)))))
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(path)
+
     def test_scoring_with_reloaded_checkpoint_matches(self, tmp_path):
         cfg, params, state, path = self._trained(tmp_path)
         _, test_ds = tiny_dataset()
@@ -228,7 +279,8 @@ class TestCheckpoint:
 
 class TestGradientStaging:
     def test_staged_equals_monolithic(self):
-        """Per-video staged backprop must agree with a single-tape build."""
+        """batch_gradients must agree with a hand-assembled single tape, in
+        eval mode and in train mode with the per-slot dropout draws."""
         from mtfl import model as M
         from mtfl import objective
         from mtfl.diffcore import Tape, backward
@@ -236,20 +288,32 @@ class TestGradientStaging:
 
         ds, _ = tiny_dataset()
         cfg = tiny_train_config()
+        assert cfg.model.dropout > 0
         params = M.init_params(cfg.model, 3)
         indices = [0, 1, 4, 5]
         labels = [ds.videos[i].label for i in indices]
         assert sorted(labels) == [0, 0, 1, 1]
 
-        staged, _ = trainer.batch_gradients(ds, indices, params, cfg, step=0,
-                                            mode="eval")
-        tape = Tape()
-        leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
-        forwards = [M.build_forward(tape, leaves,
-                                    to_multiscale(ds.videos[i], cfg.model.t),
-                                    cfg.model, mode="eval")
-                    for i in indices]
-        total, _ = objective.total_loss(forwards, labels, cfg.loss)
-        mono = backward(total)
-        for k in params:
-            assert np.allclose(staged[k], mono[k], rtol=1e-12, atol=1e-15), k
+        for mode, step in (("eval", 0), ("train", 6)):
+            staged, _ = trainer.batch_gradients(ds, indices, params, cfg,
+                                                step=step, mode=mode)
+            tape = Tape()
+            leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
+            forwards = []
+            for slot, i in enumerate(indices):
+                rng = (np.random.default_rng(
+                    np.random.SeedSequence([cfg.seed, step, slot]))
+                    if mode == "train" else None)
+                _, x, s = M.forward(to_multiscale(ds.videos[i], cfg.model.t),
+                                    leaves, cfg.model, mode=mode, rng=rng)
+                forwards.append((x, s))
+            total, _ = objective.total_loss(forwards, labels, cfg.loss)
+            mono = backward(total)
+            assert staged.keys() == mono.keys()
+            for k in params:
+                assert np.allclose(staged[k], mono[k], rtol=1e-12,
+                                   atol=1e-15), (mode, k)
+        # dropout is live: the train-mode gradients differ from eval mode
+        eval_grads, _ = trainer.batch_gradients(ds, indices, params, cfg,
+                                                step=6, mode="eval")
+        assert not np.allclose(staged["clf.fc1_w"], eval_grads["clf.fc1_w"])
