@@ -30,13 +30,43 @@ class CliError(Exception):
 
 
 def _resolve(args, config: dict, name: str, default):
-    """flag > config file > default."""
+    """flag > config file > default. A config-file value is converted with
+    the type argparse declares for the flag, or, for a key with no flag,
+    the type of `default`."""
     value = getattr(args, name, None)
     if value is not None:
         return value
     if name in config:
-        return config[name]
+        kind = args.flag_types.get(name, type(default))
+        return _from_config(name, config[name], kind, default)
     return default
+
+
+def _from_config(name: str, value, kind, default):
+    """Convert a JSON config value as argparse converts the flag's text;
+    a value of the wrong type is a validation error."""
+    try:
+        if kind is tuple:
+            if isinstance(value, list):
+                return tuple(_from_config(name, v, type(d), d)
+                             for v, d in zip(value, default, strict=True))
+        elif kind in (bool, str):
+            if isinstance(value, kind):
+                return value
+        else:
+            return kind(value if isinstance(value, str) else json.dumps(value))
+    except (TypeError, ValueError):
+        pass
+    raise CliError(f"config file: {name} must be {kind.__name__}, "
+                   f"got {json.dumps(value)}")
+
+
+def _flag_type(action) -> type:
+    """What a flag's value is: its argparse type, bool for a switch, or
+    str."""
+    if action.type is not None:
+        return action.type
+    return bool if action.const is True else str
 
 
 def _load_config_file(args) -> dict:
@@ -64,7 +94,7 @@ def _model_config(args, cfg, d: int) -> ModelConfig:
         use_ltl=not _resolve(args, cfg, "disable_ltl", False),
         use_gtl=not _resolve(args, cfg, "disable_gtl", False),
         use_ff=not _resolve(args, cfg, "disable_ff", False),
-        hidden=tuple(_resolve(args, cfg, "hidden", (512, 128))),
+        hidden=_resolve(args, cfg, "hidden", (512, 128)),
         dropout=_resolve(args, cfg, "dropout", 0.7),
     )
 
@@ -150,10 +180,15 @@ def _cmd_score(args):
 def _read_curve_scores(path) -> np.ndarray:
     scores = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 scores.append(float(line.split(",")[1]))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}:{lineno}: expected frame,score,gt, "
+                                 f"got {line[:40]!r}") from None
     return np.array(scores)
 
 
@@ -239,7 +274,7 @@ def _cmd_gradcheck(args):
 def gradcheck_full_model(t=8, d=8, heads=2, seed=0, tol=1e-4, eps=1e-5,
                          hidden=(6, 4), k=2, margin=3.0):
     """Finite-difference check through the whole network plus the full
-    four-term objective on a two-video batch, dropout off. The loss is
+    four-term objective on a four-video batch, dropout off. The loss is
     built by `trainer.batch_loss`, the same function training runs."""
     from .diffcore import finite_diff_check
     from .model import MultiScaleFeatures
@@ -249,16 +284,14 @@ def gradcheck_full_model(t=8, d=8, heads=2, seed=0, tol=1e-4, eps=1e-5,
     weights = LossWeights(lambda_fm=0.05, lambda1=0.05, lambda2=0.05,
                           margin=margin, k=k)
     rng = np.random.default_rng(seed)
-    msfs = [MultiScaleFeatures(f_s=rng.standard_normal((t, d)),
-                               f_m=rng.standard_normal((t, d)),
-                               f_l=rng.standard_normal((t, d)))
-            for _ in range(2)]
-    labels = [0, 1]
+    labels = [0, 0, 1, 1]
+    msf = MultiScaleFeatures(*(rng.standard_normal((len(labels), t, d))
+                               for _ in range(3)))
     params = model.init_params(mcfg, seed)
 
     def build(p):
-        total, _ = trainer.batch_loss(p, msfs, labels, mcfg, weights, "eval",
-                                      [None] * len(msfs))
+        total, _ = trainer.batch_loss(p, msf, labels, mcfg, weights, "eval",
+                                      None)
         return total
 
     return finite_diff_check(build, params, eps=eps, tol=tol, seed=seed)
@@ -331,6 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_gradcheck)
+
+    for p in sub.choices.values():
+        p.set_defaults(flag_types={a.dest: _flag_type(a) for a in p._actions})
     return parser
 
 

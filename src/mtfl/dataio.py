@@ -203,14 +203,17 @@ def segment_to_snippets(clips: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def to_multiscale(record: VideoRecord, t: int):
+def snippet_tensors(videos: list[VideoRecord], t: int):
+    """The (N,T,D) snippet tensors of `videos` at the three timescales,
+    validated; entry i is video i."""
     from .model import MultiScaleFeatures
 
-    return MultiScaleFeatures(
-        f_s=segment_to_snippets(record.clips_short, t),
-        f_m=segment_to_snippets(record.clips_medium, t),
-        f_l=segment_to_snippets(record.clips_long, t),
-    ).validate()
+    def stack(scale):
+        return np.stack([segment_to_snippets(getattr(v, f"clips_{scale}"), t)
+                         for v in videos])
+
+    return MultiScaleFeatures(f_s=stack("short"), f_m=stack("medium"),
+                              f_l=stack("long")).validate()
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,22 @@
-"""Dense 2-D array arithmetic with tape-based reverse-mode differentiation.
+"""Dense float arrays with tape-based reverse-mode differentiation.
 
-Every value on the tape is a 2-D float array (scalars are 1x1). Ops record
-a backward closure per input; `backward` replays the tape in reverse and
-returns gradients keyed by leaf name. A central-difference checker
-(`finite_diff_check`) validates analytic gradients of any scalar build.
+A value on the tape is a float array of two or more axes. The last two axes
+are the matrix (scalars are 1x1); any leading axes are a batch, such as one
+matrix per video, and a 2-D value is simply a batch of none. Row-wise ops
+(softmax, norms, slices, concatenation, the temporal convolution) act on
+each matrix of a batch on its own; `topk_mean` and `reduce` give one value
+per matrix. `matmul` and `add_rowvec` broadcast a 2-D parameter over the
+batch, and their backward sums its gradient over every row of the batch.
+
+Ops record a backward closure per input; `backward` replays the tape in
+reverse and returns gradients keyed by leaf name. A central-difference
+checker (`finite_diff_check`) validates analytic gradients of any scalar
+build.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,8 +40,9 @@ __all__ = [
     "softmax_rows",
     "dilated_conv1d_depthwise",
     "concat_cols",
-    "slice_cols",
     "slice_rows",
+    "reshape",
+    "transpose",
     "reduce",
     "row_norms",
     "topk_mean",
@@ -42,11 +52,11 @@ __all__ = [
 
 
 def as_matrix(value, dtype=None) -> np.ndarray:
-    """Coerce to a 2-D float array and validate finiteness.
+    """Coerce to a float array of at least two axes and validate finiteness.
 
     Floating inputs keep their precision (so the finite-difference checker
     can push extended-precision values through a build); everything else
-    widens to float64.
+    widens to float64. A scalar becomes 1x1 and a vector one row.
     """
     a = np.asarray(value)
     if dtype is None:
@@ -56,8 +66,6 @@ def as_matrix(value, dtype=None) -> np.ndarray:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
         a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -66,7 +74,7 @@ def as_matrix(value, dtype=None) -> np.ndarray:
 class Node:
     """One tape entry: a value plus (parent, vector-Jacobian product) pairs."""
 
-    __slots__ = ("value", "parents", "name", "tape", "index")
+    __slots__ = ("value", "parents", "name", "tape", "index", "__weakref__")
 
     def __init__(self, value, parents, name, tape, index):
         self.value = value
@@ -81,15 +89,22 @@ class Node:
 
 
 class Tape:
-    """Append-only record of primitive applications, in topological order."""
+    """Append-only record of primitive applications, in topological order.
+
+    Every node refers to its tape, so the tape refers to its nodes only
+    weakly and keeps just the values of its named leaves: a tape is then
+    no reference cycle, and its arrays are freed as soon as the caller
+    drops its last node instead of waiting for the cycle collector. A node
+    that nothing refers to any more cannot lie upstream of a loss.
+    """
 
     def __init__(self):
-        self.nodes: list[Node] = []
-        self.leaves: dict[str, Node] = {}
+        self.nodes: list[weakref.ref] = []
+        self.leaves: dict[str, np.ndarray] = {}
 
     def _record(self, value: np.ndarray, parents=(), name=None) -> Node:
         node = Node(value, tuple(parents), name, self, len(self.nodes))
-        self.nodes.append(node)
+        self.nodes.append(weakref.ref(node))
         return node
 
     def leaf(self, value, name: str | None = None) -> Node:
@@ -98,7 +113,7 @@ class Tape:
         if name is not None:
             if name in self.leaves:
                 raise ValueError(f"duplicate leaf name {name!r}")
-            self.leaves[name] = node
+            self.leaves[name] = node.value
         return node
 
     def constant(self, value) -> Node:
@@ -114,15 +129,36 @@ def _tape_of(*nodes: Node) -> Tape:
     return tape
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Every row of every matrix in the batch, stacked into one matrix."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _unbroadcast(g: np.ndarray) -> np.ndarray:
+    """The gradient of a 1xD row that was added to every row of a batch:
+    `g` summed over all of its rows."""
+    return _rows(g).sum(axis=0, keepdims=True)
+
+
 def matmul(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}")
+    """a @ b over the last two axes. `b` is either 2-D, a weight shared by
+    every matrix of a's batch, or has the same batch axes as `a`."""
     av, bv = a.value, b.value
-    out = av @ bv
-    return _tape_of(a, b)._record(out, [
-        (a, lambda g: g @ bv.T),
-        (b, lambda g: av.T @ g),
+    if av.shape[-1] != bv.shape[-2] or (bv.ndim > 2
+                                        and bv.shape[:-2] != av.shape[:-2]):
+        raise ValueError(
+            f"matmul dimension mismatch: {av.shape} @ {bv.shape}")
+    if bv.ndim == 2:
+        # One GEMM over all B*T rows, forward and backward; the weight
+        # gradient is thereby summed over the batch.
+        out = (_rows(av) @ bv).reshape(av.shape[:-1] + bv.shape[1:])
+        return _tape_of(a, b)._record(out, [
+            (a, lambda g: (_rows(g) @ bv.T).reshape(av.shape)),
+            (b, lambda g: _rows(av).T @ _rows(g)),
+        ])
+    return _tape_of(a, b)._record(av @ bv, [
+        (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
+        (b, lambda g: np.swapaxes(av, -1, -2) @ g),
     ])
 
 
@@ -145,13 +181,13 @@ def sub(a: Node, b: Node) -> Node:
 
 
 def add_rowvec(m: Node, b: Node) -> Node:
-    """Broadcast-add a 1xD row (bias) over every row of an TxD matrix."""
-    if b.value.shape != (1, m.value.shape[1]):
+    """Broadcast-add a 1xD row (bias) over every row of a ...xTxD value."""
+    if b.value.shape != (1, m.value.shape[-1]):
         raise ValueError(
             f"row vector shape {b.value.shape} does not match matrix {m.value.shape}")
     return _tape_of(m, b)._record(m.value + b.value, [
         (m, lambda g: g),
-        (b, lambda g: g.sum(axis=0, keepdims=True)),
+        (b, _unbroadcast),
     ])
 
 
@@ -200,40 +236,42 @@ def log_clamped(m: Node, lo: float = 1e-7, hi: float = 1.0 - 1e-7) -> Node:
 
 def softmax_rows(m: Node) -> Node:
     x = m.value
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return s * (g - (g * s).sum(axis=1, keepdims=True))
+        return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
     return m.tape._record(s, [(m, vjp)])
 
 
 def _shift_rows(x: np.ndarray, offset: int) -> np.ndarray:
-    """Rows moved by `offset` (positive: downward), zero-filled."""
+    """Rows of each matrix moved by `offset` (positive: downward),
+    zero-filled; rows never cross from one matrix of a batch to the next."""
     out = np.zeros_like(x)
-    t = x.shape[0]
+    t = x.shape[-2]
     if offset == 0:
         return x.copy()
     if offset > 0:
         if offset < t:
-            out[offset:] = x[:t - offset]
+            out[..., offset:, :] = x[..., :t - offset, :]
     else:
         if -offset < t:
-            out[:t + offset] = x[-offset:]
+            out[..., :t + offset, :] = x[..., -offset:, :]
     return out
 
 
 def dilated_conv1d_depthwise(m: Node, kernel: Node, bias: Node,
                              dilation: int) -> Node:
-    """Per-channel 3-tap temporal convolution with zero ("same") padding.
+    """Per-channel 3-tap temporal convolution with zero ("same") padding,
+    along the rows (T) of each ...xTxD matrix.
 
     kernel is Dx3 (taps at offsets -dilation, 0, +dilation); bias is 1xD.
     """
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
-    t, d = m.value.shape
+    d = m.value.shape[-1]
     if kernel.value.shape != (d, 3):
         raise ValueError(
             f"kernel shape {kernel.value.shape} does not match channels {d}")
@@ -251,40 +289,29 @@ def dilated_conv1d_depthwise(m: Node, kernel: Node, bias: Node,
 
     def vjp_w(g):
         gw = np.empty_like(w)
-        gw[:, 0] = (g * _shift_rows(x, r)).sum(axis=0)
-        gw[:, 1] = (g * x).sum(axis=0)
-        gw[:, 2] = (g * _shift_rows(x, -r)).sum(axis=0)
+        gw[:, 0] = _rows(g * _shift_rows(x, r)).sum(axis=0)
+        gw[:, 1] = _rows(g * x).sum(axis=0)
+        gw[:, 2] = _rows(g * _shift_rows(x, -r)).sum(axis=0)
         return gw
 
     return _tape_of(m, kernel, bias)._record(out, [
         (m, vjp_x),
         (kernel, vjp_w),
-        (bias, lambda g: g.sum(axis=0, keepdims=True)),
+        (bias, _unbroadcast),
     ])
 
 
 def concat_cols(nodes: Sequence[Node]) -> Node:
     nodes = list(nodes)
-    widths = [n.value.shape[1] for n in nodes]
-    out = np.concatenate([n.value for n in nodes], axis=1)
+    widths = [n.value.shape[-1] for n in nodes]
+    out = np.concatenate([n.value for n in nodes], axis=-1)
     parents = []
     start = 0
     for n, w in zip(nodes, widths):
         j0, j1 = start, start + w
-        parents.append((n, lambda g, j0=j0, j1=j1: g[:, j0:j1]))
+        parents.append((n, lambda g, j0=j0, j1=j1: g[..., j0:j1]))
         start = j1
     return _tape_of(*nodes)._record(out, parents)
-
-
-def slice_cols(m: Node, j0: int, j1: int) -> Node:
-    x = m.value
-
-    def vjp(g):
-        full = np.zeros_like(x)
-        full[:, j0:j1] = g
-        return full
-
-    return m.tape._record(x[:, j0:j1].copy(), [(m, vjp)])
 
 
 def slice_rows(m: Node, i0: int, i1: int) -> Node:
@@ -292,43 +319,46 @@ def slice_rows(m: Node, i0: int, i1: int) -> Node:
 
     def vjp(g):
         full = np.zeros_like(x)
-        full[i0:i1] = g
+        full[..., i0:i1, :] = g
         return full
 
-    return m.tape._record(x[i0:i1].copy(), [(m, vjp)])
+    return m.tape._record(x[..., i0:i1, :].copy(), [(m, vjp)])
+
+
+def reshape(m: Node, shape: tuple) -> Node:
+    """The same entries in row-major order under a new shape."""
+    x = m.value
+    return m.tape._record(x.reshape(shape), [(m, lambda g: g.reshape(x.shape))])
+
+
+def transpose(m: Node, axis1: int = -2, axis2: int = -1) -> Node:
+    """Two axes swapped; by default the last two, the matrix transpose."""
+    return m.tape._record(np.swapaxes(m.value, axis1, axis2),
+                          [(m, lambda g: np.swapaxes(g, axis1, axis2))])
 
 
 def reduce(m: Node, axis: str = "all", mode: str = "sum") -> Node:
-    """Reduce `m`. axis="rows": per-row (mx1); "cols": per-column (1xn); "all": 1x1."""
-    if axis not in ("rows", "cols", "all"):
+    """Reduce each matrix of `m`. axis="rows": per-row (mx1); "cols":
+    per-column (1xn); "all": 1x1."""
+    axes = {"rows": (-1,), "cols": (-2,), "all": (-2, -1)}.get(axis)
+    if axes is None:
         raise ValueError(f"unknown axis {axis!r}")
     if mode not in ("sum", "mean"):
         raise ValueError(f"unknown mode {mode!r}")
     x = m.value
-    rows, cols = x.shape
-    if axis == "rows":
-        out = x.sum(axis=1, keepdims=True)
-        count = cols
-        vjp = lambda g: np.broadcast_to(g / (count if mode == "mean" else 1.0),
-                                        x.shape).copy()
-    elif axis == "cols":
-        out = x.sum(axis=0, keepdims=True)
-        count = rows
-        vjp = lambda g: np.broadcast_to(g / (count if mode == "mean" else 1.0),
-                                        x.shape).copy()
-    else:
-        out = np.array([[x.sum()]])
-        count = rows * cols
-        vjp = lambda g: np.full_like(x, g[0, 0] / (count if mode == "mean" else 1.0))
+    out = x.sum(axis=axes, keepdims=True)
+    count = 1.0
     if mode == "mean":
+        count = x.size // out.size
         out = out / count
-    return m.tape._record(out, [(m, vjp)])
+    return m.tape._record(out, [
+        (m, lambda g: np.broadcast_to(g / count, x.shape).copy())])
 
 
 def row_norms(m: Node) -> Node:
-    """Euclidean norm of every row, as an mx1 column."""
+    """Euclidean norm of every row, as an mx1 column per matrix."""
     x = m.value
-    n = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    n = np.sqrt((x * x).sum(axis=-1, keepdims=True))
 
     def vjp(g):
         safe = np.where(n > 0, n, 1.0)
@@ -338,17 +368,21 @@ def row_norms(m: Node) -> Node:
 
 
 def topk_mean(v: Node, k: int) -> Node:
-    """Mean of the k largest entries of a column/row vector; ties broken by
-    lowest index. Gradient flows 1/k to each selected entry only."""
-    flat = v.value.ravel()
-    n = flat.size
+    """Mean of the k largest entries of each column/row vector of a batch,
+    as a 1x1 per vector; ties broken by lowest index. Gradient flows 1/k to
+    each selected entry only."""
+    x = v.value
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    n = flat.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for vector of length {n}")
-    order = np.argsort(-flat, kind="stable")[:k]
-    mask = np.zeros_like(v.value)
-    mask.ravel()[order] = 1.0 / k
-    out = np.array([[flat[order].sum() / k]])
-    return v.tape._record(out, [(v, lambda g: g[0, 0] * mask)])
+    order = np.argsort(-flat, axis=-1, kind="stable")[..., :k]
+    top = np.take_along_axis(flat, order, axis=-1)
+    out = (top.sum(axis=-1) / k).reshape(x.shape[:-2] + (1, 1))
+    mask = np.zeros_like(flat)
+    np.put_along_axis(mask, order, 1.0 / k, axis=-1)
+    mask = mask.reshape(x.shape)
+    return v.tape._record(out, [(v, lambda g: g * mask)])
 
 
 def _accumulate(grads: dict[int, np.ndarray], node: Node, g: np.ndarray):
@@ -372,17 +406,19 @@ def backward(loss: Node) -> dict[str, np.ndarray]:
     tape = loss.tape
     grads: dict[int, np.ndarray] = {loss.index: np.ones((1, 1))}
     reached: dict[str, np.ndarray] = {}
-    for node in reversed(tape.nodes[:loss.index + 1]):
-        g = grads.pop(node.index, None)
+    for ref in reversed(tape.nodes[:loss.index + 1]):
+        node = ref()
+        g = grads.pop(node.index, None) if node is not None else None
         if g is None:
             continue
         if node.name is not None:
             reached[node.name] = g
         for parent, vjp in node.parents:
-            _accumulate(grads, parent, vjp(g))
-    return {name: reached[name] if name in reached
-            else np.zeros_like(leaf.value)
-            for name, leaf in tape.leaves.items()}
+            # a constant or unnamed leaf: its cotangent would never be read
+            if parent.parents or parent.name is not None:
+                _accumulate(grads, parent, vjp(g))
+    return {name: reached[name] if name in reached else np.zeros_like(value)
+            for name, value in tape.leaves.items()}
 
 
 @dataclass

@@ -33,17 +33,10 @@ def frame_ground_truth(record: VideoRecord) -> np.ndarray:
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average rank of their group."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
-    return ranks
+    _, group, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True)
+    last = np.cumsum(counts)  # rank of each group's last member
+    return (last - (counts - 1) / 2.0)[group.ravel()]
 
 
 def roc_auc(scores, labels) -> float:
@@ -67,27 +60,14 @@ def average_precision(scores, labels) -> float:
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise DegenerateLabelsError("AP needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        group_tp = 0
-        while j < n and s[j] == s[i]:
-            group_tp += int(y[j] == 1)
-            j += 1
-        prev_tp = tp
-        tp += group_tp
-        seen = j
-        precision = tp / seen
-        ap += (tp - prev_tp) / n_pos * precision
-        i = j
-    return ap
+    # One threshold per distinct score, highest first.
+    _, group = np.unique(-scores, return_inverse=True)
+    group = group.ravel()
+    group_tp = np.bincount(group, weights=(labels == 1))
+    tp = np.cumsum(group_tp)
+    seen = np.cumsum(np.bincount(group))
+    # A running total adds the steps in threshold order, as a sweep would.
+    return float(np.cumsum(group_tp / n_pos * (tp / seen))[-1])
 
 
 @dataclass

@@ -4,7 +4,9 @@ Three TxD feature matrices (short / medium / long timescale) pass through
 four stages: pairwise cross-attention fusion, dilated-conv local gating,
 self-attention over a reduced concatenation, and a final fuse-and-residual
 projection, followed by a per-snippet 3-layer classifier. Each stage can
-be bypassed independently for ablations.
+be bypassed independently for ablations. A batch of videos runs as one
+forward over (B,T,D) tensors; no op mixes one video's snippets with
+another's.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ class ModelConfig:
 
 @dataclass
 class MultiScaleFeatures:
+    """Snippet features at three timescales: TxD for one video, or (N,T,D)
+    with one entry per video."""
+
     f_s: np.ndarray
     f_m: np.ndarray
     f_l: np.ndarray
@@ -126,35 +131,36 @@ def _project(x: Node, leaves, prefix: str) -> Node:
     return dc.add_rowvec(dc.matmul(x, leaves[f"{prefix}_w"]), leaves[f"{prefix}_b"])
 
 
+def _split_heads(x: Node, heads: int) -> Node:
+    """(..., T, W) -> (..., heads, T, W/heads)."""
+    *lead, t, width = x.shape
+    return dc.transpose(dc.reshape(x, (*lead, t, heads, width // heads)),
+                        -3, -2)
+
+
+def _merge_heads(x: Node) -> Node:
+    """(..., heads, T, dh) -> (..., T, heads*dh), inverse of _split_heads."""
+    *lead, heads, t, dh = x.shape
+    return dc.reshape(dc.transpose(x, -3, -2), (*lead, t, heads * dh))
+
+
 def cross_attention(q_src: Node, kv_src: Node, leaves, prefix: str,
                     heads: int) -> Node:
-    """Multi-head cross-attention; self-attention when q_src is kv_src."""
+    """Multi-head cross-attention; self-attention when q_src is kv_src.
+    Every head of every video attends in one batched product."""
     if q_src.shape != kv_src.shape:
         raise ValueError(
             f"attention source shapes differ: {q_src.shape} vs {kv_src.shape}")
-    width = q_src.shape[1]
+    width = q_src.shape[-1]
     if width % heads != 0:
         raise ValueError(f"width {width} not divisible by {heads} heads")
     dh = width // heads
-    q = _project(q_src, leaves, f"{prefix}.q")
-    k = _project(kv_src, leaves, f"{prefix}.k")
-    v = _project(kv_src, leaves, f"{prefix}.v")
-    head_outs = []
-    for h in range(heads):
-        j0, j1 = h * dh, (h + 1) * dh
-        qh = dc.slice_cols(q, j0, j1)
-        kh = dc.slice_cols(k, j0, j1)
-        vh = dc.slice_cols(v, j0, j1)
-        kt = dc.matmul(qh, _transpose(kh))
-        attn = dc.softmax_rows(dc.scale(kt, 1.0 / np.sqrt(dh)))
-        head_outs.append(dc.matmul(attn, vh))
-    merged = dc.concat_cols(head_outs) if heads > 1 else head_outs[0]
-    return _project(merged, leaves, f"{prefix}.o")
-
-
-def _transpose(n: Node) -> Node:
-    x = n.value
-    return n.tape._record(x.T.copy(), [(n, lambda g: g.T.copy())])
+    q = _split_heads(_project(q_src, leaves, f"{prefix}.q"), heads)
+    k = _split_heads(_project(kv_src, leaves, f"{prefix}.k"), heads)
+    v = _split_heads(_project(kv_src, leaves, f"{prefix}.v"), heads)
+    kt = dc.matmul(q, dc.transpose(k))
+    attn = dc.softmax_rows(dc.scale(kt, 1.0 / np.sqrt(dh)))
+    return _project(_merge_heads(dc.matmul(attn, v)), leaves, f"{prefix}.o")
 
 
 def attention_weights(q_src: np.ndarray, kv_src: np.ndarray, params,
@@ -215,16 +221,27 @@ def ff_fuse(u_local: Node, u_global: Node, residual: Node, leaves,
     return dc.add(projected, residual)
 
 
-def _dropout(x: Node, rate: float, rng: np.random.Generator) -> Node:
+def _dropout(x: Node, rate: float, rng) -> Node:
+    """Inverted dropout. `rng` is one generator for a single video, or a
+    sequence of generators, one per video of a batch, each drawing that
+    video's mask exactly as it would for the video alone."""
     if rate <= 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    if isinstance(rng, np.random.Generator):
+        draw = rng.random(x.shape)
+    else:
+        if len(rng) != x.shape[0]:
+            raise ValueError(f"{len(rng)} dropout generators for a batch "
+                             f"of {x.shape[0]}")
+        draw = np.stack([r.random(x.shape[1:]) for r in rng])
+    mask = (draw >= rate) / (1.0 - rate)
     return dc.hadamard(x, x.tape.constant(mask))
 
 
 def classify(x: Node, leaves, config: ModelConfig, mode: str = "eval",
-             rng: np.random.Generator | None = None) -> Node:
-    """Per-snippet scores in (0,1). Dropout only in train mode, from rng."""
+             rng=None) -> Node:
+    """Per-snippet scores in (0,1). Dropout only in train mode, from rng
+    (see `_dropout`)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     train = mode == "train"
@@ -241,9 +258,14 @@ def classify(x: Node, leaves, config: ModelConfig, mode: str = "eval",
 
 def forward(msf: MultiScaleFeatures, leaves: dict[str, Node],
             config: ModelConfig, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> tuple[Tape, Node, Node]:
+            rng=None) -> tuple[Tape, Node, Node]:
     """Assemble the full network on the tape that owns the parameter
     `leaves`; returns (tape, fused X, snippet scores).
+
+    `msf` holds TxD matrices for one video, or (B,T,D) tensors for a batch
+    of B videos that run as one forward; X and the scores then carry the
+    same leading axis. In train mode `rng` is one dropout generator per
+    video (a sequence for a batch).
 
     Disabled stages are bypassed: PFL passes the scale matrices through;
     with LTL (resp. GTL) off, the other branch's output is duplicated to
@@ -252,7 +274,6 @@ def forward(msf: MultiScaleFeatures, leaves: dict[str, Node],
     concatenation with no residual. All four off reduces to the mean of
     the input scales.
     """
-    msf.validate()
     tape = next(iter(leaves.values())).tape
     f_s = tape.constant(msf.f_s)
     f_m = tape.constant(msf.f_m)

@@ -3,13 +3,17 @@
 Four terms: top-k video-level binary cross-entropy, a paired hinge on
 top-k snippet feature magnitudes (abnormal above normal by a margin), and
 sparsity / temporal-smoothness penalties on the snippet scores of
-abnormal videos.
+abnormal videos. Each term is computed for every video of a (B,T,...)
+batch at once and combined across videos by a constant weight matrix, so
+the tape does not grow with B.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Node
@@ -43,50 +47,53 @@ class LossBreakdown:
     total: float
 
 
-def _mean(nodes: list[Node]) -> Node:
-    total = nodes[0]
-    for n in nodes[1:]:
-        total = dc.add(total, n)
-    return dc.scale(total, 1.0 / len(nodes))
+def _combine(per_video: Node, weights: np.ndarray) -> Node:
+    """Linear combinations of one 1x1 value per video: `weights` (R x B)
+    times the (B,1,1) `per_video` values as a column; an Rx1 node."""
+    col = dc.reshape(per_video, (per_video.shape[0], 1))
+    return dc.matmul(per_video.tape.constant(weights), col)
 
 
-def video_bce(scores_list: list[Node], labels: list[int], k: int) -> Node:
-    """Batch-mean BCE on the top-k mean score of each video."""
-    if not scores_list:
+def video_bce(scores: Node, labels, k: int) -> Node:
+    """Batch-mean BCE on the top-k mean score of each video; `scores` is
+    (B,T,1)."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.size == 0:
         raise ValueError("empty batch")
-    if len(scores_list) != len(labels):
+    if scores.shape[:-2] != labels.shape:
         raise ValueError("scores/labels length mismatch")
-    terms = []
-    for scores, y in zip(scores_list, labels):
-        sigma = dc.topk_mean(scores, k)
-        if y == 1:
-            term = dc.scale(dc.log_clamped(sigma, BCE_CLAMP, 1 - BCE_CLAMP), -1.0)
-        else:
-            one_minus = dc.sub(sigma.tape.constant([[1.0]]), sigma)
-            term = dc.scale(dc.log_clamped(one_minus, BCE_CLAMP, 1 - BCE_CLAMP), -1.0)
-        terms.append(term)
-    return _mean(terms)
+    sigma = dc.topk_mean(scores, k)
+    # sigma for an abnormal video, 1 - sigma for a normal one (both exact)
+    y = labels.reshape(-1, 1, 1)
+    tape = sigma.tape
+    p = dc.add(dc.hadamard(sigma, tape.constant(2.0 * y - 1.0)),
+               tape.constant(1.0 - y))
+    terms = dc.scale(dc.log_clamped(p, BCE_CLAMP, 1 - BCE_CLAMP), -1.0)
+    return _combine(terms, np.full((1, labels.size), 1.0 / labels.size))
 
 
-def feature_magnitude_loss(x_pos: list[Node], x_neg: list[Node], k: int,
-                           margin: float) -> Node:
-    """Paired hinge on top-k mean row norms: abnormal_i vs normal_i."""
-    if len(x_pos) != len(x_neg) or not x_pos:
+def feature_magnitude_loss(x: Node, labels, k: int, margin: float) -> Node:
+    """Paired hinge on top-k mean row norms of the (B,T,D) features: the
+    i-th abnormal video of the batch against the i-th normal one."""
+    labels = np.asarray(labels)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
+    if len(pos) != len(neg) or not len(pos):
         raise ValueError(
-            f"paired batch required: {len(x_pos)} abnormal vs {len(x_neg)} normal")
-    terms = []
-    for xp, xn in zip(x_pos, x_neg):
-        mp = dc.topk_mean(dc.row_norms(xp), k)
-        mn = dc.topk_mean(dc.row_norms(xn), k)
-        gap = dc.sub(mn, mp)
-        hinge = dc.relu(dc.add(gap.tape.constant([[margin]]), gap))
-        terms.append(hinge)
-    return _mean(terms)
+            f"paired batch required: {len(pos)} abnormal vs {len(neg)} normal")
+    magnitudes = dc.topk_mean(dc.row_norms(x), k)
+    # row i picks normal_i minus abnormal_i
+    pairs = np.zeros((len(pos), labels.size))
+    pairs[np.arange(len(pos)), neg] = 1.0
+    pairs[np.arange(len(pos)), pos] = -1.0
+    gap = _combine(magnitudes, pairs)
+    hinge = dc.relu(dc.add(gap.tape.constant(np.full(gap.shape, margin)), gap))
+    return dc.reduce(hinge, axis="all", mode="mean")
 
 
 def temporal_regularizers(scores: Node) -> tuple[Node, Node]:
-    """(sparsity, smoothness) of one abnormal video's score vector."""
-    t = scores.value.shape[0]
+    """(sparsity, smoothness) of each video's score vector (one 1x1 each)."""
+    t = scores.shape[-2]
     if t < 2:
         raise ValueError(f"need T >= 2 snippets, got {t}")
     sparsity = dc.reduce(dc.absolute(scores), axis="all", mode="sum")
@@ -95,35 +102,35 @@ def temporal_regularizers(scores: Node) -> tuple[Node, Node]:
     return sparsity, smoothness
 
 
-def total_loss(forwards: list[tuple[Node, Node]], labels: list[int],
+def total_loss(x: Node, scores: Node, labels,
                weights: LossWeights) -> tuple[Node, LossBreakdown]:
     """Compose the full objective over one class-paired batch.
 
-    `forwards` holds (fused features X, snippet scores) per video, aligned
-    with `labels`. Returns the scalar loss node plus the term values; the
-    breakdown total is composed with the same float arithmetic as the node.
+    `x` holds the fused (B,T,D) features and `scores` the (B,T,1) snippet
+    scores of the batch, aligned with `labels`. Every term is computed per
+    video inside batched ops. Returns the scalar loss node plus the term
+    values; the breakdown total is composed with the same float arithmetic
+    as the node.
     """
     weights.validate()
-    pos = [i for i, y in enumerate(labels) if y == 1]
-    neg = [i for i, y in enumerate(labels) if y == 0]
-    if not pos or not neg:
+    labels = np.asarray(labels)
+    if x.shape[:-2] != labels.shape or scores.shape[:-2] != labels.shape:
+        raise ValueError(f"batch of {labels.size} labels does not match "
+                         f"features {x.shape} and scores {scores.shape}")
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    if not n_pos or not n_neg:
         raise ValueError("batch must contain both an abnormal and a normal video")
-    if len(pos) != len(neg):
+    if n_pos != n_neg:
         raise ValueError(
-            f"batch must pair classes equally: {len(pos)} abnormal vs {len(neg)} normal")
+            f"batch must pair classes equally: {n_pos} abnormal vs {n_neg} normal")
 
-    scores_all = [s for _, s in forwards]
-    bce = video_bce(scores_all, labels, weights.k)
-    fm = feature_magnitude_loss([forwards[i][0] for i in pos],
-                                [forwards[i][0] for i in neg],
-                                weights.k, weights.margin)
-    sp_terms, sm_terms = [], []
-    for i in pos:
-        sp, sm = temporal_regularizers(forwards[i][1])
-        sp_terms.append(sp)
-        sm_terms.append(sm)
-    sparsity = _mean(sp_terms)
-    smoothness = _mean(sm_terms)
+    bce = video_bce(scores, labels, weights.k)
+    fm = feature_magnitude_loss(x, labels, weights.k, weights.margin)
+    sp, sm = temporal_regularizers(scores)
+    abnormal_mean = (labels == 1).reshape(1, -1) / n_pos
+    sparsity = _combine(sp, abnormal_mean)
+    smoothness = _combine(sm, abnormal_mean)
 
     total = dc.add(dc.add(dc.add(bce, dc.scale(fm, weights.lambda_fm)),
                           dc.scale(sparsity, weights.lambda1)),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import objective
-from .dataio import Dataset, to_multiscale
+from .dataio import Dataset, snippet_tensors
 from .diffcore import Node, Tape, backward
 from .model import ModelConfig, MultiScaleFeatures
 from .objective import LossBreakdown, LossWeights
@@ -140,35 +140,36 @@ def _video_rng(seed: int, step: int, video_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, step, video_index]))
 
 
-def batch_loss(params: dict[str, np.ndarray],
-               msfs: list[MultiScaleFeatures], labels: list[int],
-               model_cfg: ModelConfig, weights: LossWeights, mode: str,
-               rngs: list) -> tuple[Node, LossBreakdown]:
-    """The objective over one batch, built on a single tape: the parameters
-    become leaves once and every video's forward shares them. `rngs` holds
-    one dropout generator (or None) per video."""
+def batch_loss(params: dict[str, np.ndarray], msf: MultiScaleFeatures,
+               labels, model_cfg: ModelConfig, weights: LossWeights,
+               mode: str, rngs) -> tuple[Node, LossBreakdown]:
+    """The objective over one batch, built on a single tape from one
+    forward over the (B,T,D) tensors of `msf`: the parameters become leaves
+    once. `rngs` holds one dropout generator per video (None in eval
+    mode)."""
     tape = Tape()
     leaves = {name: tape.leaf(value, name=name)
               for name, value in params.items()}
-    forwards = [model_mod.forward(msf, leaves, model_cfg, mode=mode,
-                                  rng=rng)[1:]
-                for msf, rng in zip(msfs, rngs)]
-    return objective.total_loss(forwards, labels, weights)
+    _, x, scores = model_mod.forward(msf, leaves, model_cfg, mode=mode,
+                                     rng=rngs)
+    return objective.total_loss(x, scores, labels, weights)
 
 
-def batch_gradients(dataset: Dataset, indices: list[int],
-                    params: dict[str, np.ndarray], cfg: TrainConfig,
-                    step: int, mode: str = "train"):
-    """Loss gradients for one batch from a single reverse sweep.
+def batch_gradients(feats: MultiScaleFeatures, labels: np.ndarray,
+                    indices: list[int], params: dict[str, np.ndarray],
+                    cfg: TrainConfig, step: int, mode: str = "train"):
+    """Loss gradients for the batch `indices` of a dataset whose (N,T,D)
+    snippet tensors are `feats` and labels `labels`, from a single reverse
+    sweep.
 
     Returns (grads, LossBreakdown).
     """
-    msfs = [to_multiscale(dataset.videos[i], cfg.model.t) for i in indices]
-    labels = [dataset.videos[i].label for i in indices]
-    rngs = [_video_rng(cfg.seed, step, slot) if mode == "train" else None
-            for slot in range(len(indices))]
-    total, breakdown = batch_loss(params, msfs, labels, cfg.model, cfg.loss,
-                                  mode, rngs)
+    batch = MultiScaleFeatures(f_s=feats.f_s[indices], f_m=feats.f_m[indices],
+                               f_l=feats.f_l[indices])
+    rngs = ([_video_rng(cfg.seed, step, slot) for slot in range(len(indices))]
+            if mode == "train" else None)
+    total, breakdown = batch_loss(params, batch, labels[indices], cfg.model,
+                                  cfg.loss, mode, rngs)
     return backward(total), breakdown
 
 
@@ -189,6 +190,8 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
     """
     cfg.validate()
     dataset.validate()
+    feats = snippet_tensors(dataset.videos, cfg.model.t)
+    labels = np.array([v.label for v in dataset.videos])
     params = model_mod.init_params(cfg.model, cfg.seed)
     state = AdamState.zeros_like(params)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C4]))
@@ -205,7 +208,7 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
                     dataset, rng, cfg.batch_normal, cfg.batch_abnormal)
                 indices = normals + abnormals
                 grads, breakdown = batch_gradients(
-                    dataset, indices, params, cfg, step, mode="train")
+                    feats, labels, indices, params, cfg, step, mode="train")
                 if not np.isfinite(breakdown.total):
                     raise RuntimeError(
                         f"non-finite loss {breakdown.total} at step {step}")
@@ -230,11 +233,11 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
 
 
 def score_video(record, params, cfg_model: ModelConfig) -> np.ndarray:
-    """Eval-mode snippet scores for one video."""
+    """Eval-mode snippet scores for one video (a batch of one)."""
     tape = Tape()
     leaves = {name: tape.leaf(value, name=name)
               for name, value in params.items()}
-    msf = to_multiscale(record, cfg_model.t)
+    msf = snippet_tensors([record], cfg_model.t)
     _, _, s = model_mod.forward(msf, leaves, cfg_model, mode="eval")
     return s.value.ravel()
 

@@ -230,6 +230,26 @@ class TestScoreEvalCommands:
         assert_one_line_error(err)
         assert victim.video_id in err
 
+    @pytest.mark.parametrize("bad", ["garbage", "3,abc,0"])
+    def test_unparsable_curve_line_is_validation_error(self, tmp_path, capsys,
+                                                       bad):
+        data = small_synth(tmp_path)
+        out = train_small(tmp_path, data)
+        manifest = data / "test_manifest.csv"
+        scores = tmp_path / "scores"
+        assert run(["score", "--checkpoint", str(out / "final.mtfc"),
+                    "--manifest", str(manifest), "--out-dir",
+                    str(scores)]) == 0
+        curve = sorted(scores.glob("*.csv"))[0]
+        lines = curve.read_text().splitlines(True)
+        lines[2] = bad + "\n"
+        curve.write_text("".join(lines))
+        code, _, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(scores), "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"{curve}:3" in err
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         data = small_synth(tmp_path)
         code, _, err = run_capture(capsys, [
@@ -257,6 +277,43 @@ class TestConfigFilePrecedence:
             "gradcheck", "--config", str(cfg), "--tol", "1e-4"])
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("entry", [
+        {"epochs": "ten"}, {"epochs": 2.5}, {"lr": "fast"}, {"lr": True},
+        {"disable_pfl": "yes"}, {"disable_pfl": 1}, {"hidden": "wide"},
+        {"hidden": [8, "x"]}, {"hidden": [8]}, {"manifest": 5},
+    ], ids=json.dumps)
+    def test_wrong_type_rejected_before_writing(self, tmp_path, capsys,
+                                                entry):
+        data = small_synth(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "manifest": str(data / "train_manifest.csv"), "epochs": 1,
+            "batch_half": 2, "seed": 1, "t": 8, "heads": 2, "margin": 4,
+            **entry}))
+        out = tmp_path / "run"
+        code, _, err = run_capture(capsys, [
+            "train", "--config", str(cfg), "--out-dir", str(out)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert next(iter(entry)) in err
+        assert not out.exists()
+
+    def test_config_values_take_flag_types(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "manifest": str(data / "train_manifest.csv"), "epochs": "1",
+            "batch_half": 2, "seed": 1, "t": 8, "heads": 2, "margin": 4,
+            "lr": "1e-3", "disable_pfl": True, "hidden": [8, 4]}))
+        out = tmp_path / "run"
+        code, _, err = run_capture(capsys, [
+            "train", "--config", str(cfg), "--out-dir", str(out)])
+        assert code == 0, err
+        from mtfl.trainer import load_checkpoint
+        tcfg, _, _ = load_checkpoint(out / "final.mtfc")
+        assert tcfg.epochs == 1 and tcfg.learning_rate == 1e-3
+        assert tcfg.model.hidden == (8, 4) and not tcfg.model.use_pfl
 
     def test_bad_config_json_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +214,22 @@ class TestBackward:
         g2 = backward(loss)
         assert np.array_equal(g1["p"], g2["p"])
 
+    def test_tape_freed_without_cycle_collector(self):
+        """Dropping the last node frees the tape and its arrays at once; a
+        training step's tape holds tens of MB."""
+        gc.disable()
+        try:
+            tape = Tape()
+            p = tape.leaf(np.ones((2, 2)), name="p")
+            tape.leaf(np.ones((3, 3)), name="unused")
+            loss = dc.reduce(dc.sigmoid(dc.matmul(p, p)), axis="all")
+            backward(loss)
+            alive = weakref.ref(tape)
+            del tape, p, loss
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
         p = tape.leaf(np.ones((2, 2)), name="p")
@@ -294,3 +313,86 @@ class TestFiniteDiffCheck:
                   "b": rng.normal(size=(1, 4))}
         report = finite_diff_check(build, params, eps=1e-5, tol=1e-4)
         assert report.passed, report
+
+
+def _batch_sum(node):
+    """Scalar sum of every entry of a batched node."""
+    per_matrix = dc.reduce(node, axis="all", mode="sum")
+    return dc.reduce(dc.reshape(per_matrix, (1, per_matrix.value.size)),
+                     axis="all", mode="sum")
+
+
+# Each case maps a (3, 5, 4) batch x and 2-D weights w (4x4), k (4x3) and
+# b (1x4) to a batched node.
+BATCHED_OPS = {
+    "matmul_shared_weight": lambda x, w, k, b: dc.matmul(x, w),
+    "matmul_batched": lambda x, w, k, b: dc.matmul(dc.matmul(x, w),
+                                                   dc.transpose(x)),
+    "add_rowvec": lambda x, w, k, b: dc.add_rowvec(x, b),
+    "softmax_rows": lambda x, w, k, b: dc.softmax_rows(dc.matmul(x, w)),
+    "row_norms": lambda x, w, k, b: dc.row_norms(dc.matmul(x, w)),
+    "conv": lambda x, w, k, b: dc.dilated_conv1d_depthwise(x, k, b, 2),
+    "concat_cols": lambda x, w, k, b: dc.concat_cols([x, dc.matmul(x, w)]),
+    "slice_rows": lambda x, w, k, b: dc.slice_rows(dc.matmul(x, w), 1, 4),
+    "reduce_rows_mean": lambda x, w, k, b: dc.reduce(dc.matmul(x, w),
+                                                     axis="rows", mode="mean"),
+    "reduce_cols": lambda x, w, k, b: dc.reduce(dc.matmul(x, w), axis="cols"),
+    "topk_mean": lambda x, w, k, b: dc.topk_mean(
+        dc.row_norms(dc.matmul(x, w)), 2),
+    "heads": lambda x, w, k, b: dc.transpose(
+        dc.reshape(x, x.shape[:-1] + (2, 2)), -3, -2),
+}
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("op", sorted(BATCHED_OPS))
+    def test_finite_differences_on_3d_input(self, op):
+        rng = np.random.default_rng(11)
+
+        def build(p):
+            tape = Tape()
+            x, w, k, b = (tape.leaf(p[n], name=n) for n in "xwkb")
+            out = BATCHED_OPS[op](x, w, k, b)
+            # a fixed random probe makes every output entry count differently
+            probe = np.random.default_rng(12).normal(size=out.value.shape)
+            return _batch_sum(dc.hadamard(out, tape.constant(probe)))
+
+        params = {"x": rng.normal(size=(3, 5, 4)), "w": rng.normal(size=(4, 4)),
+                  "k": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 4))}
+        report = finite_diff_check(build, params, eps=1e-5, tol=1e-6)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("op", sorted(BATCHED_OPS))
+    def test_each_video_alone(self, op):
+        """A batched op equals the op applied to each video by itself."""
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3, 5, 4))
+        w, k, b = (rng.normal(size=s) for s in ((4, 4), (4, 3), (1, 4)))
+
+        def run(xv):
+            tape = Tape()
+            return BATCHED_OPS[op](tape.leaf(xv), tape.leaf(w), tape.leaf(k),
+                                   tape.leaf(b)).value
+
+        batched = run(x)
+        for i in range(3):
+            assert np.allclose(batched[i], run(x[i]), rtol=1e-13, atol=1e-15)
+
+    def test_shared_weight_gradient_sums_over_batch(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, 5, 4))
+        w = rng.normal(size=(4, 2))
+
+        def grad_w(xv):
+            tape = Tape()
+            out = dc.matmul(tape.leaf(xv), tape.leaf(w, name="w"))
+            return backward(_batch_sum(dc.hadamard(out, out)))["w"]
+
+        assert np.allclose(grad_w(x), sum(grad_w(x[i]) for i in range(3)),
+                           rtol=1e-13)
+
+    def test_batched_matmul_needs_matching_batch(self):
+        tape = Tape()
+        with pytest.raises(ValueError, match="mismatch"):
+            dc.matmul(tape.leaf(np.zeros((2, 3, 4))),
+                      tape.leaf(np.zeros((3, 4, 2))))

@@ -39,6 +39,61 @@ def brute_force_ap(scores, labels):
     return ap
 
 
+def loop_average_ranks(scores):
+    """The tie-group loop that `_average_ranks` replaced, kept as a reference."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j < scores.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j]] = (i + 1 + j) / 2.0
+        i = j
+    return ranks
+
+
+def loop_average_precision(scores, labels):
+    """The tie-group loop that `average_precision` replaced."""
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    ap = 0.0
+    tp = 0
+    i = 0
+    n = scores.size
+    while i < n:
+        j = i
+        group_tp = 0
+        while j < n and s[j] == s[i]:
+            group_tp += int(y[j] == 1)
+            j += 1
+        prev_tp = tp
+        tp += group_tp
+        precision = tp / j
+        ap += (tp - prev_tp) / n_pos * precision
+        i = j
+    return ap
+
+
+class TestVectorizedMatchesLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tie_heavy_six_decimal_scores(self, seed):
+        # snippet scores expanded to frames and written with 6 decimals, as
+        # score curves are: long runs of ties and many distinct values
+        rng = np.random.default_rng(seed)
+        snippets = np.round(rng.beta(0.5, 0.5, size=3000), 6)
+        scores = np.repeat(snippets, rng.integers(1, 40, size=snippets.size))
+        labels = (rng.random(scores.size) < 0.3).astype(int)
+        ranks = metrics._average_ranks(scores)
+        assert np.allclose(ranks, loop_average_ranks(scores), rtol=0,
+                           atol=1e-15)
+        assert abs(average_precision(scores, labels)
+                   - loop_average_precision(scores, labels)) <= 1e-15
+
+
 class TestExpandToFrames:
     def test_even_split(self):
         assert np.array_equal(expand_to_frames([0.1, 0.9], 4),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -334,3 +336,45 @@ class TestForward:
         grads = backward(loss)
         dead = [n for n, g in grads.items() if not np.any(g)]
         assert dead == []
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("switches", list(itertools.product(
+        [True, False], repeat=4)), ids=lambda s: "".join("1" if on else "0"
+                                                         for on in s))
+    def test_batch_matches_each_video_alone(self, switches, mode):
+        """One (B,T,D) forward gives every video the X and scores of its own
+        B-less forward, including its own dropout masks in train mode."""
+        cfg = replace(TINY, dropout=0.5, **dict(zip(
+            ("use_pfl", "use_ltl", "use_gtl", "use_ff"), switches)))
+        params = model.init_params(cfg, 1)
+        rng = np.random.default_rng(2)
+        b = 3
+        batch = MultiScaleFeatures(*(rng.standard_normal((b, cfg.t, cfg.d))
+                                     for _ in range(3)))
+
+        def dropout_rng(slot):
+            return (np.random.default_rng([7, slot]) if mode == "train"
+                    else None)
+
+        _, _, xb, sb = forward_with_leaves(
+            cfg, params, batch, mode,
+            [dropout_rng(i) for i in range(b)] if mode == "train" else None)
+        assert xb.value.shape == (b, cfg.t, cfg.d)
+        assert sb.value.shape == (b, cfg.t, 1)
+        for i in range(b):
+            one = MultiScaleFeatures(batch.f_s[i], batch.f_m[i], batch.f_l[i])
+            _, _, x1, s1 = forward_with_leaves(cfg, params, one, mode,
+                                               dropout_rng(i))
+            assert np.allclose(xb.value[i], x1.value, rtol=1e-12, atol=1e-15)
+            assert np.allclose(sb.value[i], s1.value, rtol=1e-12, atol=1e-15)
+
+    def test_one_dropout_generator_per_video(self):
+        cfg = replace(TINY, dropout=0.5)
+        params = model.init_params(cfg, 0)
+        batch = MultiScaleFeatures(*(np.ones((3, cfg.t, cfg.d))
+                                     for _ in range(3)))
+        with pytest.raises(ValueError, match="generators"):
+            forward_with_leaves(cfg, params, batch, "train",
+                                [np.random.default_rng(0)] * 2)

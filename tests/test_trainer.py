@@ -277,43 +277,80 @@ class TestCheckpoint:
             assert np.allclose(a, b, atol=1e-12)
 
 
+def stack_videos(nodes):
+    """Per-video (T, D) nodes as one (B, T, D) node on the same tape."""
+    from mtfl import diffcore as dc
+
+    flat = dc.concat_cols([dc.reshape(n, (1, n.value.size)) for n in nodes])
+    return dc.reshape(flat, (len(nodes),) + nodes[0].shape)
+
+
 class TestGradientStaging:
     def test_staged_equals_monolithic(self):
-        """batch_gradients must agree with a hand-assembled single tape, in
-        eval mode and in train mode with the per-slot dropout draws."""
+        """The batched step's gradients must agree with one tape that runs
+        every video through its own forward, in eval mode and in train mode
+        with the per-slot dropout draws."""
         from mtfl import model as M
         from mtfl import objective
+        from mtfl.dataio import snippet_tensors
         from mtfl.diffcore import Tape, backward
-        from mtfl.dataio import to_multiscale
+        from mtfl.model import MultiScaleFeatures
 
         ds, _ = tiny_dataset()
         cfg = tiny_train_config()
         assert cfg.model.dropout > 0
         params = M.init_params(cfg.model, 3)
+        feats = snippet_tensors(ds.videos, cfg.model.t)
+        all_labels = np.array([v.label for v in ds.videos])
         indices = [0, 1, 4, 5]
-        labels = [ds.videos[i].label for i in indices]
+        labels = all_labels[indices]
         assert sorted(labels) == [0, 0, 1, 1]
 
         for mode, step in (("eval", 0), ("train", 6)):
-            staged, _ = trainer.batch_gradients(ds, indices, params, cfg,
-                                                step=step, mode=mode)
+            staged, _ = trainer.batch_gradients(feats, all_labels, indices,
+                                                params, cfg, step=step,
+                                                mode=mode)
             tape = Tape()
             leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
-            forwards = []
+            xs, ss = [], []
             for slot, i in enumerate(indices):
                 rng = (np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, step, slot]))
                     if mode == "train" else None)
-                _, x, s = M.forward(to_multiscale(ds.videos[i], cfg.model.t),
-                                    leaves, cfg.model, mode=mode, rng=rng)
-                forwards.append((x, s))
-            total, _ = objective.total_loss(forwards, labels, cfg.loss)
+                one = MultiScaleFeatures(feats.f_s[i], feats.f_m[i],
+                                         feats.f_l[i])
+                _, x, s = M.forward(one, leaves, cfg.model, mode=mode, rng=rng)
+                xs.append(x)
+                ss.append(s)
+            total, _ = objective.total_loss(stack_videos(xs), stack_videos(ss),
+                                            labels, cfg.loss)
             mono = backward(total)
             assert staged.keys() == mono.keys()
             for k in params:
                 assert np.allclose(staged[k], mono[k], rtol=1e-12,
                                    atol=1e-15), (mode, k)
         # dropout is live: the train-mode gradients differ from eval mode
-        eval_grads, _ = trainer.batch_gradients(ds, indices, params, cfg,
-                                                step=6, mode="eval")
+        eval_grads, _ = trainer.batch_gradients(feats, all_labels, indices,
+                                                params, cfg, step=6,
+                                                mode="eval")
         assert not np.allclose(staged["clf.fc1_w"], eval_grads["clf.fc1_w"])
+
+    def test_tape_length_does_not_depend_on_batch_size(self):
+        from mtfl import model as M
+        from mtfl.model import MultiScaleFeatures
+
+        cfg = tiny_train_config()
+        params = M.init_params(cfg.model, 0)
+        rng = np.random.default_rng(0)
+        lengths = []
+        for half in (2, 8):
+            msf = MultiScaleFeatures(*(rng.standard_normal(
+                (2 * half, cfg.model.t, cfg.model.d)) for _ in range(3)))
+            labels = [0] * half + [1] * half
+            rngs = [np.random.default_rng(i) for i in range(2 * half)]
+            total, _ = trainer.batch_loss(params, msf, labels, cfg.model,
+                                          cfg.loss, "train", rngs)
+            lengths.append(len(total.tape.nodes))
+        assert lengths[0] == lengths[1]
+        # one tape of batched ops, not one forward per video
+        assert lengths[0] < 300
