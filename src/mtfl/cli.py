@@ -12,6 +12,7 @@ import argparse
 import json
 import secrets
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,18 +179,39 @@ def _cmd_score(args):
 
 
 def _read_curve_scores(path) -> np.ndarray:
+    """The score column of a `frame,score,gt` curve file, one value per
+    line that is not blank or whitespace-only.
+
+    numpy parses a well-formed file in one call. A file it rejects is read
+    again by `_read_curve_lines`, which defines the format: it accepts
+    what numpy accepts, and more (whitespace-only lines, Unicode digits),
+    and names the first line it cannot read.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty file
+            return np.loadtxt(path, delimiter=",", usecols=1, ndmin=1,
+                              comments=None, dtype=np.float64)
+    except ValueError:
+        return _read_curve_lines(path)
+
+
+def _read_curve_lines(path) -> np.ndarray:
+    try:
+        lines = Path(path).read_text().split("\n")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     scores = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                scores.append(float(line.split(",")[1]))
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}:{lineno}: expected frame,score,gt, "
-                                 f"got {line[:40]!r}") from None
-    return np.array(scores)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            scores.append(float(line.split(",")[1].strip()))
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}:{lineno}: expected frame,score,gt, "
+                             f"got {line[:40]!r}") from None
+    return np.array(scores, dtype=np.float64)
 
 
 def _cmd_eval(args):

@@ -3,6 +3,7 @@ ROC-AUC, step-integrated average precision, and score-curve export."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,43 +32,79 @@ def frame_ground_truth(record: VideoRecord) -> np.ndarray:
     return gt
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
+def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each score's tie group, groups numbered in ascending score order,
+    and the size of each group: the one sort AUC and AP share.
+
+    Frame scores come in runs of equal values (a snippet's score repeats
+    over its frames), so only the first score of each run is sorted."""
+    starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
+    _, run_group = np.unique(scores[starts], return_inverse=True)
+    lengths = np.diff(np.append(starts, scores.size))
+    group = np.repeat(run_group.ravel(), lengths)
+    return group, np.bincount(group)
+
+
+def _average_ranks(group: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average rank of their group."""
-    _, group, counts = np.unique(scores, return_inverse=True,
-                                 return_counts=True)
     last = np.cumsum(counts)  # rank of each group's last member
-    return (last - (counts - 1) / 2.0)[group.ravel()]
+    return (last - (counts - 1) / 2.0)[group]
 
 
-def roc_auc(scores, labels) -> float:
-    """Mann-Whitney AUC with average ranks for ties."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    n_pos = int((labels == 1).sum())
+def _auc_classes(labels: np.ndarray) -> tuple[np.ndarray, int, int]:
+    positive = labels == 1
+    n_pos = int(positive.sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             f"AUC needs both classes (got {n_pos} positive, {n_neg} negative)")
-    ranks = _average_ranks(scores)
-    r_pos = ranks[labels == 1].sum()
+    return positive, n_pos, n_neg
+
+
+def _auc(group, counts, positive, n_pos: int, n_neg: int) -> float:
+    r_pos = _average_ranks(group, counts)[positive].sum()
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _ap(group, counts, positive, n_pos: int) -> float:
+    # One threshold per distinct score, highest first: the ascending tie
+    # groups in reverse.
+    group_tp = np.bincount(group, weights=positive)[::-1]
+    tp = np.cumsum(group_tp)
+    seen = np.cumsum(counts[::-1])
+    # A running total adds the steps in threshold order, as a sweep would.
+    return float(np.cumsum(group_tp / n_pos * (tp / seen))[-1])
+
+
+def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    return (np.asarray(scores, dtype=np.float64).ravel(),
+            np.asarray(labels).ravel())
+
+
+def roc_auc(scores, labels) -> float:
+    """Mann-Whitney AUC with average ranks for ties."""
+    scores, labels = _as_arrays(scores, labels)
+    positive, n_pos, n_neg = _auc_classes(labels)
+    return _auc(*_tie_groups(scores), positive, n_pos, n_neg)
 
 
 def average_precision(scores, labels) -> float:
     """Step-integrated AP; equal scores are processed as one threshold group."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    n_pos = int((labels == 1).sum())
+    scores, labels = _as_arrays(scores, labels)
+    positive = labels == 1
+    n_pos = int(positive.sum())
     if n_pos == 0:
         raise DegenerateLabelsError("AP needs at least one positive")
-    # One threshold per distinct score, highest first.
-    _, group = np.unique(-scores, return_inverse=True)
-    group = group.ravel()
-    group_tp = np.bincount(group, weights=(labels == 1))
-    tp = np.cumsum(group_tp)
-    seen = np.cumsum(np.bincount(group))
-    # A running total adds the steps in threshold order, as a sweep would.
-    return float(np.cumsum(group_tp / n_pos * (tp / seen))[-1])
+    return _ap(*_tie_groups(scores), positive, n_pos)
+
+
+def _auc_and_ap(scores, labels) -> tuple[float, float]:
+    """`roc_auc` and `average_precision` from one sort of the scores."""
+    scores, labels = _as_arrays(scores, labels)
+    positive, n_pos, n_neg = _auc_classes(labels)
+    group, counts = _tie_groups(scores)
+    return (_auc(group, counts, positive, n_pos, n_neg),
+            _ap(group, counts, positive, n_pos))
 
 
 @dataclass
@@ -104,14 +141,13 @@ def evaluate(videos: list[VideoRecord], frame_scores: dict[str, np.ndarray],
         if per_video:
             entry = {"n_frames": v.n_frames, "label": v.label}
             if 0 < gt.sum() < gt.size:
-                entry["auc"] = roc_auc(scores, gt)
-                entry["ap"] = average_precision(scores, gt)
+                entry["auc"], entry["ap"] = _auc_and_ap(scores, gt)
             details[v.video_id] = entry
-    pooled_scores = np.concatenate(all_scores)
     pooled_labels = np.concatenate(all_labels)
+    auc, ap = _auc_and_ap(np.concatenate(all_scores), pooled_labels)
     return EvalReport(
-        auc=roc_auc(pooled_scores, pooled_labels),
-        ap=average_precision(pooled_scores, pooled_labels),
+        auc=auc,
+        ap=ap,
         n_pos_frames=int(pooled_labels.sum()),
         n_neg_frames=int((pooled_labels == 0).sum()),
         per_video=details,
@@ -120,12 +156,19 @@ def evaluate(videos: list[VideoRecord], frame_scores: dict[str, np.ndarray],
 
 def export_score_curve(video: VideoRecord, frame_scores: np.ndarray, path):
     """One `frame,score,gt` line per frame, fixed 6-decimal formatting."""
-    frame_scores = np.asarray(frame_scores).ravel()
+    frame_scores = np.asarray(frame_scores, dtype=np.float64).ravel()
     if frame_scores.size != video.n_frames:
         raise ValueError(
             f"{video.video_id}: {frame_scores.size} scores for "
             f"{video.n_frames} frames")
     gt = frame_ground_truth(video)
-    lines = [f"{f},{frame_scores[f]:.6f},{gt[f]}" for f in range(video.n_frames)]
+    # Each distinct score is formatted once. Distinct by bit pattern, so
+    # that 0.0 and -0.0, which compare equal, keep their own text.
+    bits, group = np.unique(frame_scores.view(np.uint64), return_inverse=True)
+    text = [f"{s:.6f}" for s in bits.view(np.float64).tolist()]
+    tails = [f",{t},{g}" for g in (0, 1) for t in text]
+    keys = (group.ravel() + gt * len(text)).tolist()
+    lines = map(operator.add, map(str, range(video.n_frames)),
+                map(tails.__getitem__, keys))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

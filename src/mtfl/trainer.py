@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -255,14 +257,15 @@ def _pack_tensor_table(tensors: dict[str, np.ndarray]) -> bytes:
 
 
 class _Reader:
-    def __init__(self, raw: bytes, offset: int):
+    def __init__(self, raw: bytes, offset: int, path):
         self.raw = raw
         self.pos = offset
+        self.path = path
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.raw):
-            raise TruncationError(
-                f"checkpoint truncated at byte {self.pos} (needed {n} more)")
+            raise TruncationError(f"{self.path}: checkpoint truncated at byte "
+                                  f"{self.pos} (needed {n} more)")
         out = self.raw[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -275,7 +278,13 @@ def _unpack_tensor_table(r: _Reader) -> dict[str, np.ndarray]:
     count = r.u32()
     out = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        raw_name = r.take(r.u32())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{r.path}: tensor name {raw_name[:40]!r} "
+                                  f"at byte {r.pos - len(raw_name)} is not "
+                                  f"UTF-8") from None
         rows, cols = struct.unpack("<II", r.take(8))
         data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8")
         out[name] = data.reshape(rows, cols).copy()
@@ -317,19 +326,26 @@ def _config_from_json(raw: bytes, path) -> TrainConfig:
 
 def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
                     state: AdamState):
+    """Write to `<path>.tmp`, then rename it over `path`: a write that fails
+    or is killed part-way leaves the previous checkpoint at `path` whole."""
     header = _config_to_json(cfg, state.step)
-    body = b"".join([
-        struct.pack("<I", len(header)), header,
-        struct.pack("<I", state.step),
-        _pack_tensor_table(params),
-        _pack_tensor_table(state.m),
-        _pack_tensor_table(state.v),
-    ])
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body)))
+    body = chain((struct.pack("<I", len(header)), header,
+                  struct.pack("<I", state.step)),
+                 map(_pack_tensor_table, (params, state.m, state.v)))
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", CKPT_VERSION))
+            crc = 0
+            for chunk in body:
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            f.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
@@ -345,7 +361,7 @@ def load_checkpoint(path):
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
     # Structural parse first so a chopped file reports truncation, not a
     # checksum mismatch; CRC catches in-place corruption afterwards.
-    r = _Reader(raw, 8)
+    r = _Reader(raw, 8, path)
     header = r.take(r.u32())
     step = r.u32()
     params = _unpack_tensor_table(r)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +12,10 @@ import pytest
 
 import mtfl
 from mtfl import dataio
-from mtfl.cli import run
+from mtfl.cli import _read_curve_scores, run
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
 
-from test_trainer import header_of, with_header
+from test_trainer import first_name_offset, header_of, with_header
 
 
 def run_capture(capsys, argv):
@@ -250,6 +253,20 @@ class TestScoreEvalCommands:
         assert_one_line_error(err)
         assert f"{curve}:3" in err
 
+    def test_tensor_name_not_utf8_is_runtime_error(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        ckpt = train_small(tmp_path, data) / "final.mtfc"
+        raw = bytearray(ckpt.read_bytes())
+        raw[first_name_offset(raw)] = 0xFF
+        ckpt.write_bytes(bytes(raw))
+        code, _, err = run_capture(capsys, [
+            "score", "--checkpoint", str(ckpt),
+            "--manifest", str(data / "test_manifest.csv"),
+            "--out-dir", str(tmp_path / "scores")])
+        assert code == 2
+        assert_one_line_error(err)
+        assert str(ckpt) in err
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         data = small_synth(tmp_path)
         code, _, err = run_capture(capsys, [
@@ -258,6 +275,64 @@ class TestScoreEvalCommands:
             "--out-dir", str(tmp_path / "s")])
         assert code == 2
         assert err
+
+
+def eval_without_warnings(argv):
+    """`mtfl eval` in-process: exit code, stderr, and any warning raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestCurveReader:
+    def test_scored_curves_parse_as_per_line_floats(self, tmp_path):
+        data = small_synth(tmp_path)
+        out = train_small(tmp_path, data)
+        scores = tmp_path / "scores"
+        assert run(["score", "--checkpoint", str(out / "final.mtfc"),
+                    "--manifest", str(data / "test_manifest.csv"),
+                    "--out-dir", str(scores)]) == 0
+        for curve in sorted(scores.glob("*.csv")):
+            expected = np.array([float(line.split(",")[1])
+                                 for line in curve.read_text().splitlines()])
+            assert np.array_equal(_read_curve_scores(curve), expected)
+
+    def test_blank_and_whitespace_only_lines_are_skipped(self, tmp_path):
+        curve = tmp_path / "v.csv"
+        curve.write_text("0,0.25,0\n\n1,0.5,1\n  \t\n\r\n2, 0.75 ,0\n \n")
+        assert _read_curve_scores(curve).tolist() == [0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n"],
+                             ids=["empty", "blank", "whitespace"])
+    def test_curve_without_scores_is_length_error(self, tmp_path, text):
+        data = small_synth(tmp_path)
+        manifest = data / "test_manifest.csv"
+        victim = dataio.read_manifest(manifest, split="test").videos[0]
+        scores = tmp_path / "scores"
+        write_curves(scores, manifest)
+        (scores / f"{victim.video_id}.csv").write_text(text)
+        code, err, caught = eval_without_warnings([
+            "eval", "--scores-dir", str(scores), "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"{victim.video_id}: 0 scores" in err
+        assert caught == []
+
+    def test_invalid_utf8_is_validation_error(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        manifest = data / "test_manifest.csv"
+        scores = tmp_path / "scores"
+        write_curves(scores, manifest)
+        curve = sorted(scores.glob("*.csv"))[0]
+        curve.write_bytes(curve.read_bytes().replace(b"0.5", b"0\xff5", 1))
+        code, _, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(scores), "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert str(curve) in err
 
 
 class TestConfigFilePrecedence:

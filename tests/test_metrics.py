@@ -78,6 +78,17 @@ def loop_average_precision(scores, labels):
     return ap
 
 
+def descending_sort_average_precision(scores, labels):
+    """`average_precision` as it was before AP shared AUC's ascending sort:
+    its own sort of the negated scores."""
+    n_pos = int((labels == 1).sum())
+    _, group = np.unique(-scores, return_inverse=True)
+    group_tp = np.bincount(group, weights=(labels == 1))
+    tp = np.cumsum(group_tp)
+    seen = np.cumsum(np.bincount(group))
+    return float(np.cumsum(group_tp / n_pos * (tp / seen))[-1])
+
+
 class TestVectorizedMatchesLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tie_heavy_six_decimal_scores(self, seed):
@@ -87,11 +98,48 @@ class TestVectorizedMatchesLoop:
         snippets = np.round(rng.beta(0.5, 0.5, size=3000), 6)
         scores = np.repeat(snippets, rng.integers(1, 40, size=snippets.size))
         labels = (rng.random(scores.size) < 0.3).astype(int)
-        ranks = metrics._average_ranks(scores)
+        ranks = metrics._average_ranks(*metrics._tie_groups(scores))
         assert np.allclose(ranks, loop_average_ranks(scores), rtol=0,
                            atol=1e-15)
         assert abs(average_precision(scores, labels)
                    - loop_average_precision(scores, labels)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_shared_sort_equals_separate_metrics(self, seed):
+        rng = np.random.default_rng(seed)
+        snippets = np.round(rng.beta(0.5, 0.5, size=3000), 6)
+        scores = np.repeat(snippets, rng.integers(1, 40, size=snippets.size))
+        edges = np.sort(rng.choice(scores.size, size=200, replace=False))
+        video = make_record(n_frames=scores.size,
+                            intervals=list(zip(edges[0::2], edges[1::2])))
+        labels = metrics.frame_ground_truth(video)
+        report = metrics.evaluate([video], {"v": scores}, per_video=True)
+        expected = (roc_auc(scores, labels),
+                    descending_sort_average_precision(scores, labels))
+        assert (report.auc, report.ap) == expected
+        assert (report.per_video["v"]["auc"],
+                report.per_video["v"]["ap"]) == expected
+        assert average_precision(scores, labels) == expected[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tie_groups_equal_full_unique(self, seed):
+        # runs and scattered repeats, both zeros, infinities and NaNs
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 0.5, 0.25, np.inf, -np.inf, np.nan,
+                           1.0, 0.5000001])
+        scores = np.repeat(rng.choice(values, size=400),
+                           rng.integers(1, 5, size=400))
+        group, counts = metrics._tie_groups(scores)
+        _, expected_group, expected_counts = np.unique(
+            scores, return_inverse=True, return_counts=True)
+        assert np.array_equal(group, expected_group.ravel())
+        assert np.array_equal(counts, expected_counts)
+
+    def test_shared_sort_keeps_degenerate_label_rules(self):
+        with pytest.raises(DegenerateLabelsError, match="AUC"):
+            metrics._auc_and_ap([0.1, 0.2], [1, 1])
+        with pytest.raises(DegenerateLabelsError, match="AUC"):
+            metrics._auc_and_ap([0.1, 0.2], [0, 0])
 
 
 class TestExpandToFrames:
@@ -213,6 +261,29 @@ class TestExportScoreCurve:
         written = [float(line.split(",")[1])
                    for line in path.read_text().splitlines()]
         assert np.allclose(written, frames, atol=5e-7)  # 6-decimal format
+
+    @pytest.mark.parametrize("kind", ["random", "tie-heavy", "rounding-edges",
+                                      "float32"])
+    def test_bytes_equal_per_frame_format(self, tmp_path, kind):
+        rng = np.random.default_rng(3)
+        n = 5000
+        if kind == "random":
+            scores = rng.uniform(size=n)
+        elif kind == "tie-heavy":
+            scores = np.repeat(rng.uniform(size=50), n // 50)
+        elif kind == "rounding-edges":
+            edges = [0.0000005, 0.0000015, 0.9999995, 0.1234565, 0.0, -0.0,
+                     1.0, 5e-7 - 1e-18, np.nextafter(5e-7, 1), -4e-7, 1e-300]
+            scores = rng.choice(edges, size=n)
+        else:
+            scores = rng.uniform(size=n).astype(np.float32)
+        v = make_record(n_frames=n, intervals=((100, 900), (2000, 2001)))
+        path = tmp_path / "v.csv"
+        metrics.export_score_curve(v, scores, path)
+        # the per-frame loop export_score_curve replaced, as a reference
+        gt = metrics.frame_ground_truth(v)
+        lines = [f"{f},{scores[f]:.6f},{gt[f]}" for f in range(n)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_reexport_byte_identical(self, tmp_path):
         v = make_record()

@@ -181,6 +181,13 @@ def with_header(raw: bytes, header: bytes) -> bytes:
     return raw[:8] + body + struct.pack("<I", zlib.crc32(body))
 
 
+def first_name_offset(raw: bytes) -> int:
+    """Byte offset of the first tensor name in checkpoint `raw`: after the
+    magic, version, header, step, table count and name length."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    return 12 + n + 12
+
+
 class TestCheckpoint:
     def _trained(self, tmp_path):
         ds, _ = tiny_dataset()
@@ -224,6 +231,69 @@ class TestCheckpoint:
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(trainer.TruncationError):
             load_checkpoint(path)
+
+    def test_truncation_names_the_file(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:first_name_offset(raw) + 2])
+        with pytest.raises(trainer.TruncationError, match=str(path)):
+            load_checkpoint(path)
+
+    def test_tensor_name_not_utf8_is_checkpoint_error(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[first_name_offset(raw)] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"{path}.*tensor name"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("failure", ["tensor-table", "disk-full"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch, failure):
+        cfg, params, state, path = self._trained(tmp_path)
+        before = path.read_bytes()
+        newer = {k: v + 1.0 for k, v in params.items()}
+        if failure == "tensor-table":
+            pack = trainer._pack_tensor_table
+            packed = []
+
+            def pack_then_fail(tensors):
+                # the parameter table is written, then packing a moment
+                # table fails
+                if packed:
+                    raise MemoryError("simulated")
+                packed.append(tensors)
+                return pack(tensors)
+            monkeypatch.setattr(trainer, "_pack_tensor_table", pack_then_fail)
+            expected = MemoryError
+        else:
+            real_open = open
+
+            class FullDisk:
+                """A file whose third write fails, as on a full disk."""
+                def __init__(self, f):
+                    self.f, self.writes = f, 0
+
+                def write(self, data):
+                    self.writes += 1
+                    if self.writes == 3:
+                        raise OSError(28, "No space left on device")
+                    return self.f.write(data)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.f.close()
+
+            monkeypatch.setattr(trainer, "open",
+                                lambda *a, **k: FullDisk(real_open(*a, **k)),
+                                raising=False)
+            expected = OSError
+        with pytest.raises(expected):
+            save_checkpoint(path, cfg, newer, state)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     def test_corruption_fails_checksum(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
