@@ -3,7 +3,8 @@
 Every flag has a config-file equivalent (a JSON object whose keys are the
 flag names with dashes replaced by underscores, passed via --config);
 explicit flags win over the config file, which wins over defaults.
-Exit codes: 0 success, 1 validation error, 2 runtime or I/O error.
+Exit codes: 0 success, 1 validation error, 2 runtime or I/O error; `run`
+maps each exception kind to its code.
 """
 
 from __future__ import annotations
@@ -18,29 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, metrics, model, trainer
-from .dataio import SynthConfig
+from .container import FormatError
+from .dataio import ManifestError, SynthConfig
 from .model import ModelConfig
 from .objective import LossWeights
 from .trainer import TrainConfig
 
 
-class CliError(Exception):
-    def __init__(self, message, code=1):
-        super().__init__(message)
-        self.code = code
-
-
-def _resolve(args, config: dict, name: str, default):
-    """flag > config file > default. A config-file value is converted with
-    the type argparse declares for the flag, or, for a key with no flag,
-    the type of `default`."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        kind = args.flag_types.get(name, type(default))
-        return _from_config(name, config[name], kind, default)
-    return default
+class CliError(ValueError):
+    """A usage or validation error the CLI finds itself (exit 1)."""
 
 
 def _from_config(name: str, value, kind, default):
@@ -62,113 +49,94 @@ def _from_config(name: str, value, kind, default):
                    f"got {json.dumps(value)}")
 
 
-def _flag_type(action) -> type:
-    """What a flag's value is: its argparse type, bool for a switch, or
-    str."""
-    if action.type is not None:
-        return action.type
-    return bool if action.const is True else str
+def _commands(parser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of `parser`, by name."""
+    return next(a for a in parser._actions if a.dest == "command").choices
 
 
-def _load_config_file(args) -> dict:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
-    try:
-        with open(path) as f:
+def _config_keys(p: argparse.ArgumentParser) -> dict[str, type]:
+    """The config-file keys subcommand `p` reads, each with the type of its
+    value: every flag but --config and --help (a switch takes a bool), and
+    every key set only by `set_defaults`, such as `hidden`."""
+    keys = {k: type(v) for k, v in p._defaults.items() if k != "func"}
+    for a in p._actions:
+        if a.option_strings and a.dest not in ("help", "config"):
+            keys[a.dest] = bool if a.nargs == 0 else a.type or str
+    return keys
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse `argv`. With --config, parse it again with the file's values
+    as the subcommand's defaults: flag > config file > default. A key that
+    no subcommand reads is an error; a key of another subcommand is
+    ignored, so one file can serve several."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    with open(args.config) as f:
+        try:
             blob = json.load(f)
-    except OSError as e:
-        raise CliError(f"cannot read config file: {e}", code=2)
-    except json.JSONDecodeError as e:
-        raise CliError(f"config file is not valid JSON: {e}")
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise CliError(f"config file {args.config} is not valid JSON: "
+                           f"{e}") from None
     if not isinstance(blob, dict):
         raise CliError("config file must hold a JSON object")
-    return blob
-
-
-def _model_config(args, cfg, d: int) -> ModelConfig:
-    return ModelConfig(
-        d=d,
-        t=_resolve(args, cfg, "t", 32),
-        heads=_resolve(args, cfg, "heads", 4),
-        use_pfl=not _resolve(args, cfg, "disable_pfl", False),
-        use_ltl=not _resolve(args, cfg, "disable_ltl", False),
-        use_gtl=not _resolve(args, cfg, "disable_gtl", False),
-        use_ff=not _resolve(args, cfg, "disable_ff", False),
-        hidden=_resolve(args, cfg, "hidden", (512, 128)),
-        dropout=_resolve(args, cfg, "dropout", 0.7),
-    )
+    commands = _commands(parser)
+    known = set().union(*map(_config_keys, commands.values()))
+    unknown = sorted(set(blob) - known)
+    if unknown:
+        raise CliError(f"config file: unknown key(s) {', '.join(unknown)}")
+    p = commands[args.command]
+    keys = _config_keys(p)
+    p.set_defaults(**{name: _from_config(name, value, keys[name],
+                                         p.get_default(name))
+                      for name, value in blob.items() if name in keys})
+    return parser.parse_args(argv)
 
 
 def _cmd_train(args):
-    cfg_file = _load_config_file(args)
-    manifest = _resolve(args, cfg_file, "manifest", None)
-    out_dir = _resolve(args, cfg_file, "out_dir", None)
-    if manifest is None or out_dir is None:
+    if args.manifest is None or args.out_dir is None:
         raise CliError("train requires --manifest and --out-dir")
-    seed = _resolve(args, cfg_file, "seed", None)
+    seed = args.seed
     if seed is None:
         seed = secrets.randbelow(2**31)
         print(f"seed={seed}")
-    try:
-        dataset = dataio.read_manifest(manifest, split="train")
-    except (OSError, dataio.FormatError) as e:
-        raise CliError(str(e), code=2)
-    except (dataio.ManifestError, ValueError) as e:
-        raise CliError(str(e))
-    d = dataset.videos[0].dim
-
-    loss = LossWeights(
-        k=_resolve(args, cfg_file, "k", 3),
-        margin=_resolve(args, cfg_file, "margin", 100.0),
-        lambda_fm=_resolve(args, cfg_file, "lambda_fm", 1e-4),
-        lambda1=_resolve(args, cfg_file, "lambda1", 8e-5),
-        lambda2=_resolve(args, cfg_file, "lambda2", 8e-5),
-    )
-    batch_half = _resolve(args, cfg_file, "batch_half", 64)
+    dataset = dataio.read_manifest(args.manifest, split="train")
     cfg = TrainConfig(
-        model=_model_config(args, cfg_file, d),
-        learning_rate=_resolve(args, cfg_file, "lr", 1e-4),
-        weight_decay=_resolve(args, cfg_file, "weight_decay", 5e-4),
-        batch_normal=batch_half,
-        batch_abnormal=batch_half,
-        epochs=_resolve(args, cfg_file, "epochs", 1000),
-        seed=int(seed),
-        loss=loss,
-        checkpoint_every=_resolve(args, cfg_file, "checkpoint_every", 0),
-    )
-    try:
-        cfg.validate()
-    except ValueError as e:
-        raise CliError(str(e))
-    out = Path(out_dir)
+        model=ModelConfig(
+            d=dataset.videos[0].dim, t=args.t, heads=args.heads,
+            use_pfl=not args.disable_pfl, use_ltl=not args.disable_ltl,
+            use_gtl=not args.disable_gtl, use_ff=not args.disable_ff,
+            hidden=args.hidden, dropout=args.dropout),
+        learning_rate=args.lr,
+        weight_decay=args.weight_decay,
+        batch_normal=args.batch_half,
+        batch_abnormal=args.batch_half,
+        epochs=args.epochs,
+        seed=seed,
+        loss=LossWeights(k=args.k, margin=args.margin,
+                         lambda_fm=args.lambda_fm, lambda1=args.lambda1,
+                         lambda2=args.lambda2),
+        checkpoint_every=args.checkpoint_every,
+    ).validate()
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        trainer.train(dataset, cfg, out_dir=out, log_path=out / "loss_log.csv")
-    except OSError as e:
-        raise CliError(str(e), code=2)
+    trainer.train(dataset, cfg, out_dir=out, log_path=out / "loss_log.csv")
     print(f"checkpoint written to {out / 'final.mtfc'}")
     return 0
 
 
 def _cmd_score(args):
-    cfg_file = _load_config_file(args)
-    ckpt_path = _resolve(args, cfg_file, "checkpoint", None)
-    manifest = _resolve(args, cfg_file, "manifest", None)
-    out_dir = _resolve(args, cfg_file, "out_dir", None)
-    if ckpt_path is None or manifest is None or out_dir is None:
+    if None in (args.checkpoint, args.manifest, args.out_dir):
         raise CliError("score requires --checkpoint, --manifest and --out-dir")
-    try:
-        cfg, params, _ = trainer.load_checkpoint(ckpt_path)
-        dataset = dataio.read_manifest(manifest, split="test")
-    except (trainer.CheckpointError, dataio.FormatError, OSError) as e:
-        raise CliError(str(e), code=2)
-    except (dataio.ManifestError, ValueError) as e:
-        raise CliError(str(e))
+    cfg, params, _ = trainer.load_checkpoint(args.checkpoint)
+    dataset = dataio.read_manifest(args.manifest, split="test")
     if dataset.videos and dataset.videos[0].dim != cfg.model.d:
-        raise CliError(f"{manifest}: features have D={dataset.videos[0].dim}, "
-                       f"checkpoint {ckpt_path} expects D={cfg.model.d}")
-    out = Path(out_dir)
+        raise CliError(f"{args.manifest}: features have "
+                       f"D={dataset.videos[0].dim}, checkpoint "
+                       f"{args.checkpoint} expects D={cfg.model.d}")
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for v in dataset.videos:
         snippet = trainer.score_video(v, params, cfg.model)
@@ -215,29 +183,16 @@ def _read_curve_lines(path) -> np.ndarray:
 
 
 def _cmd_eval(args):
-    cfg_file = _load_config_file(args)
-    scores_dir = _resolve(args, cfg_file, "scores_dir", None)
-    manifest = _resolve(args, cfg_file, "manifest", None)
-    if scores_dir is None or manifest is None:
+    if args.scores_dir is None or args.manifest is None:
         raise CliError("eval requires --scores-dir and --manifest")
-    per_video = _resolve(args, cfg_file, "per_video", False)
-    try:
-        dataset = dataio.read_manifest(manifest, split="test")
-        frame_scores = {v.video_id:
-                        _read_curve_scores(Path(scores_dir) / f"{v.video_id}.csv")
-                        for v in dataset.videos}
-    except (OSError, dataio.FormatError) as e:
-        raise CliError(str(e), code=2)
-    except (dataio.ManifestError, ValueError) as e:
-        raise CliError(str(e))
-    try:
-        report = metrics.evaluate(dataset.videos, frame_scores,
-                                  per_video=per_video)
-    except ValueError as e:
-        raise CliError(str(e))
+    dataset = dataio.read_manifest(args.manifest, split="test")
+    frame_scores = {v.video_id: _read_curve_scores(
+        Path(args.scores_dir) / f"{v.video_id}.csv") for v in dataset.videos}
+    report = metrics.evaluate(dataset.videos, frame_scores,
+                              per_video=args.per_video)
     for line in report.summary_lines():
         print(line)
-    if per_video:
+    if args.per_video:
         for vid, entry in report.per_video.items():
             auc = entry.get("auc")
             ap = entry.get("ap")
@@ -248,45 +203,32 @@ def _cmd_eval(args):
 
 
 def _cmd_synth(args):
-    cfg_file = _load_config_file(args)
-    out_dir = _resolve(args, cfg_file, "out_dir", None)
-    if out_dir is None:
+    if args.out_dir is None:
         raise CliError("synth requires --out-dir")
-    n_normal = _resolve(args, cfg_file, "normal", 40)
-    n_abnormal = _resolve(args, cfg_file, "abnormal", 40)
+    test_normal, test_abnormal = args.test_normal, args.test_abnormal
+    if test_normal is None:
+        test_normal = max(1, args.normal // 4)
+    if test_abnormal is None:
+        test_abnormal = max(1, args.abnormal // 4)
     cfg = SynthConfig(
-        n_normal_train=n_normal,
-        n_abnormal_train=n_abnormal,
-        n_normal_test=_resolve(args, cfg_file, "test_normal",
-                               max(1, n_normal // 4)),
-        n_abnormal_test=_resolve(args, cfg_file, "test_abnormal",
-                                 max(1, n_abnormal // 4)),
-        d=_resolve(args, cfg_file, "d", 16),
-        boost=_resolve(args, cfg_file, "boost", 3.0),
-        noise_scale=_resolve(args, cfg_file, "noise", 1.0),
-    )
-    seed = _resolve(args, cfg_file, "seed", 0)
-    try:
-        cfg.validate()
-    except ValueError as e:
-        raise CliError(str(e))
-    try:
-        train_ds, test_ds = dataio.synth_generate(cfg, seed, out_dir=out_dir)
-    except OSError as e:
-        raise CliError(str(e), code=2)
+        n_normal_train=args.normal,
+        n_abnormal_train=args.abnormal,
+        n_normal_test=test_normal,
+        n_abnormal_test=test_abnormal,
+        d=args.d,
+        boost=args.boost,
+        noise_scale=args.noise,
+    ).validate()
+    train_ds, test_ds = dataio.synth_generate(cfg, args.seed,
+                                              out_dir=args.out_dir)
     print(f"wrote {len(train_ds.videos)} train and {len(test_ds.videos)} "
-          f"test videos to {out_dir}")
+          f"test videos to {args.out_dir}")
     return 0
 
 
 def _cmd_gradcheck(args):
-    cfg_file = _load_config_file(args)
-    t = _resolve(args, cfg_file, "t", 8)
-    d = _resolve(args, cfg_file, "d", 8)
-    heads = _resolve(args, cfg_file, "heads", 2)
-    seed = _resolve(args, cfg_file, "seed", 0)
-    tol = _resolve(args, cfg_file, "tol", 1e-4)
-    report = gradcheck_full_model(t=t, d=d, heads=heads, seed=seed, tol=tol)
+    report = gradcheck_full_model(t=args.t, d=args.d, heads=args.heads,
+                                  seed=args.seed, tol=args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"max relative error {report.max_rel_error:.3e} "
           f"(worst {report.worst_coordinate or 'n/a'}): {status}")
@@ -320,94 +262,109 @@ def gradcheck_full_model(t=8, d=8, heads=2, seed=0, tol=1e-4, eps=1e-5,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommands and their flags; each flag's name, type and default
+    are written here and nowhere else. `mtfl <command> --help` prints the
+    defaults."""
     parser = argparse.ArgumentParser(
         prog="mtfl", description="Multi-timescale anomaly detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON file of flag defaults")
+    def command(name, func, help):
+        p = sub.add_parser(
+            name, help=help,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help="JSON file of flag values")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="train a model from a manifest")
-    add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--batch-half", dest="batch_half", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--lambda-fm", dest="lambda_fm", type=float)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--disable-pfl", dest="disable_pfl", action="store_const", const=True)
-    p.add_argument("--disable-ltl", dest="disable_ltl", action="store_const", const=True)
-    p.add_argument("--disable-gtl", dest="disable_gtl", action="store_const", const=True)
-    p.add_argument("--disable-ff", dest="disable_ff", action="store_const", const=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.set_defaults(func=_cmd_train)
+    p = command("train", _cmd_train, "train a model from a manifest")
+    p.add_argument("--manifest", help="training manifest (required)")
+    p.add_argument("--out-dir", help="checkpoint and loss-log directory "
+                   "(required)")
+    p.add_argument("--epochs", type=int, default=1000, help="epochs")
+    p.add_argument("--lr", type=float, default=1e-4, help="Adam step size")
+    p.add_argument("--weight-decay", type=float, default=5e-4,
+                   help="decoupled weight decay")
+    p.add_argument("--batch-half", type=int, default=64,
+                   help="videos per class in a batch")
+    p.add_argument("--seed", type=int,
+                   help="drawn at random and printed if not given")
+    p.add_argument("--k", type=int, default=3, help="top-k snippets")
+    p.add_argument("--margin", type=float, default=100.0,
+                   help="feature-magnitude margin")
+    p.add_argument("--lambda-fm", type=float, default=1e-4,
+                   help="feature-magnitude weight")
+    p.add_argument("--lambda1", type=float, default=8e-5,
+                   help="sparsity weight")
+    p.add_argument("--lambda2", type=float, default=8e-5,
+                   help="smoothness weight")
+    for stage in ("pfl", "ltl", "gtl", "ff"):
+        p.add_argument(f"--disable-{stage}", action="store_true",
+                       help=f"bypass the {stage.upper()} stage")
+    p.add_argument("--t", type=int, default=32, help="snippets per video")
+    p.add_argument("--heads", type=int, default=4, help="attention heads")
+    p.add_argument("--dropout", type=float, default=0.7,
+                   help="classifier dropout rate")
+    p.add_argument("--checkpoint-every", type=int, default=0,
+                   help="steps between checkpoints; 0: final only")
+    p.set_defaults(hidden=(512, 128))  # classifier widths; config file only
 
-    p = sub.add_parser("score", help="score a manifest with a checkpoint")
-    add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--manifest")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=_cmd_score)
+    p = command("score", _cmd_score, "score a manifest with a checkpoint")
+    p.add_argument("--checkpoint", help="checkpoint to score with (required)")
+    p.add_argument("--manifest", help="manifest to score (required)")
+    p.add_argument("--out-dir", help="score-curve directory (required)")
 
-    p = sub.add_parser("eval", help="frame-level AUC/AP from score curves")
-    add_common(p)
-    p.add_argument("--scores-dir", dest="scores_dir")
-    p.add_argument("--manifest")
-    p.add_argument("--per-video", dest="per_video", action="store_const", const=True)
-    p.set_defaults(func=_cmd_eval)
+    p = command("eval", _cmd_eval, "frame-level AUC/AP from score curves")
+    p.add_argument("--scores-dir", help="score-curve directory (required)")
+    p.add_argument("--manifest", help="test manifest (required)")
+    p.add_argument("--per-video", action="store_true",
+                   help="also print AUC/AP per video")
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_common(p)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--normal", type=int)
-    p.add_argument("--abnormal", type=int)
-    p.add_argument("--test-normal", dest="test_normal", type=int)
-    p.add_argument("--test-abnormal", dest="test_abnormal", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--boost", type=float)
-    p.add_argument("--noise", type=float)
-    p.set_defaults(func=_cmd_synth)
+    p = command("synth", _cmd_synth, "generate a synthetic dataset")
+    p.add_argument("--out-dir", help="dataset directory (required)")
+    p.add_argument("--normal", type=int, default=40,
+                   help="normal training videos")
+    p.add_argument("--abnormal", type=int, default=40,
+                   help="abnormal training videos")
+    p.add_argument("--test-normal", type=int,
+                   help="normal test videos; max(1, normal // 4) "
+                   "if not given")
+    p.add_argument("--test-abnormal", type=int,
+                   help="abnormal test videos; max(1, abnormal // 4) "
+                   "if not given")
+    p.add_argument("--d", type=int, default=16, help="feature dimension")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--boost", type=float, default=3.0,
+                   help="anomaly mean shift")
+    p.add_argument("--noise", type=float, default=1.0, help="noise scale")
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    add_common(p)
-    p.add_argument("--t", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_gradcheck)
-
-    for p in sub.choices.values():
-        p.set_defaults(flag_types={a.dest: _flag_type(a) for a in p._actions})
+    p = command("gradcheck", _cmd_gradcheck,
+                "finite-difference gradient check")
+    p.add_argument("--t", type=int, default=8, help="snippets per video")
+    p.add_argument("--d", type=int, default=8, help="feature dimension")
+    p.add_argument("--heads", type=int, default=2, help="attention heads")
+    p.add_argument("--seed", type=int, default=0, help="data and init seed")
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="largest relative error that passes")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one command. Exception kinds map to exit codes here, and only
+    here."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 1
-    try:
+        args = parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
+    except SystemExit as e:  # from argparse: --help, or a bad flag
+        return 0 if e.code in (0, None) else 1
     except KeyboardInterrupt:
         return 2
-    except (OSError, RuntimeError) as e:
+    except (FormatError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (ManifestError, ValueError) as e:  # CliError is a ValueError
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def main():

@@ -16,29 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import NonFiniteError, frame, open_container
+
 MAGIC = b"MTFB"
 VERSION = 1
 TUBELET_LENGTHS = {"short": 8, "medium": 32, "long": 64}
-
-
-class FormatError(Exception):
-    """Base for feature-file format violations."""
-
-
-class BadMagicError(FormatError):
-    pass
-
-
-class VersionError(FormatError):
-    pass
-
-
-class TruncationError(FormatError):
-    pass
-
-
-class NonFiniteError(FormatError):
-    pass
 
 
 class ManifestError(Exception):
@@ -109,27 +91,17 @@ def write_feature_file(path, matrix: np.ndarray):
         raise NonFiniteError(f"{path}: refusing to write non-finite values")
     n, d = matrix.shape
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<III", VERSION, n, d))
+        f.write(frame(MAGIC, VERSION))
+        f.write(struct.pack("<II", n, d))
         f.write(matrix.astype("<f4").tobytes())
 
 
 def read_feature_file(path) -> np.ndarray:
     """Read a feature file, widening to float64 for in-memory work."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 16:
-        raise TruncationError(f"{path}: header truncated ({len(raw)} bytes)")
-    version, n, d = struct.unpack("<III", raw[4:16])
-    if version != VERSION:
-        raise VersionError(f"{path}: unsupported version {version}")
-    expected = 16 + 4 * n * d
-    if len(raw) != expected:
-        raise TruncationError(
-            f"{path}: payload is {len(raw) - 16} bytes, expected {4 * n * d}")
-    values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, d)
+    r = open_container(path, MAGIC, VERSION)
+    n, d = r.u32(), r.u32()
+    values = np.frombuffer(r.take(4 * n * d), dtype="<f4").reshape(n, d)
+    r.end()
     if not np.all(np.isfinite(values)):
         raise NonFiniteError(f"{path}: payload contains non-finite values")
     return values.astype(np.float64)
@@ -166,6 +138,8 @@ def read_manifest(path, split: str = "train") -> Dataset:
             try:
                 label = int(label_s)
                 n_frames = int(frames_s)
+                if n_frames < 1:
+                    raise ValueError(f"n_frames must be >= 1, got {n_frames}")
                 intervals = parse_intervals(ivals)
             except ValueError as e:
                 raise ManifestError(f"{path}:{lineno}: {e}") from None
@@ -192,15 +166,11 @@ def segment_to_snippets(clips: np.ndarray, t: int) -> np.ndarray:
     n = clips.shape[0]
     if n < 1 or t < 1:
         raise ValueError(f"need N >= 1 and T >= 1, got N={n}, T={t}")
-    out = np.empty((t, clips.shape[1]), dtype=clips.dtype)
-    for i in range(t):
-        lo = i * n // t
-        hi = (i + 1) * n // t
-        if hi <= lo:
-            out[i] = clips[lo]
-        else:
-            out[i] = clips[lo:hi].mean(axis=0)
-    return out
+    lo = np.arange(t) * n // t
+    hi = np.arange(1, t + 1) * n // t
+    # reduceat sums rows [lo[i], lo[i+1]) and returns row lo[i] alone when
+    # lo[i+1] == lo[i]: the duplication rule. lo[i+1] is hi[i].
+    return np.add.reduceat(clips, lo, axis=0) / np.maximum(hi - lo, 1)[:, None]
 
 
 def snippet_tensors(videos: list[VideoRecord], t: int):

@@ -337,16 +337,12 @@ def transpose(m: Node, axis1: int = -2, axis2: int = -1) -> Node:
                           [(m, lambda g: np.swapaxes(g, axis1, axis2))])
 
 
-def reduce(m: Node, axis: str = "all", mode: str = "sum") -> Node:
-    """Reduce each matrix of `m`. axis="rows": per-row (mx1); "cols":
-    per-column (1xn); "all": 1x1."""
-    axes = {"rows": (-1,), "cols": (-2,), "all": (-2, -1)}.get(axis)
-    if axes is None:
-        raise ValueError(f"unknown axis {axis!r}")
+def reduce(m: Node, mode: str = "sum") -> Node:
+    """Sum or mean of each matrix of `m`, as a 1x1 matrix."""
     if mode not in ("sum", "mean"):
         raise ValueError(f"unknown mode {mode!r}")
     x = m.value
-    out = x.sum(axis=axes, keepdims=True)
+    out = x.sum(axis=(-2, -1), keepdims=True)
     count = 1.0
     if mode == "mean":
         count = x.size // out.size

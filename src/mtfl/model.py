@@ -163,22 +163,6 @@ def cross_attention(q_src: Node, kv_src: Node, leaves, prefix: str,
     return _project(_merge_heads(dc.matmul(attn, v)), leaves, f"{prefix}.o")
 
 
-def attention_weights(q_src: np.ndarray, kv_src: np.ndarray, params,
-                      prefix: str, heads: int) -> list[np.ndarray]:
-    """The per-head softmax matrices, for invariant checks (rows sum to 1)."""
-    q = q_src @ params[f"{prefix}.q_w"] + params[f"{prefix}.q_b"]
-    k = kv_src @ params[f"{prefix}.k_w"] + params[f"{prefix}.k_b"]
-    dh = q.shape[1] // heads
-    out = []
-    for h in range(heads):
-        qh = q[:, h * dh:(h + 1) * dh]
-        kh = k[:, h * dh:(h + 1) * dh]
-        logits = qh @ kh.T / np.sqrt(dh)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        out.append(e / e.sum(axis=1, keepdims=True))
-    return out
-
-
 def pfl_forward(f_l: Node, f_m: Node, f_s: Node, leaves,
                 config: ModelConfig) -> tuple[Node, Node, Node]:
     """Pairwise cross-attention fusion; identity pass-through when disabled."""

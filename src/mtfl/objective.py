@@ -88,7 +88,7 @@ def feature_magnitude_loss(x: Node, labels, k: int, margin: float) -> Node:
     pairs[np.arange(len(pos)), pos] = -1.0
     gap = _combine(magnitudes, pairs)
     hinge = dc.relu(dc.add(gap.tape.constant(np.full(gap.shape, margin)), gap))
-    return dc.reduce(hinge, axis="all", mode="mean")
+    return dc.reduce(hinge, mode="mean")
 
 
 def temporal_regularizers(scores: Node) -> tuple[Node, Node]:
@@ -96,9 +96,9 @@ def temporal_regularizers(scores: Node) -> tuple[Node, Node]:
     t = scores.shape[-2]
     if t < 2:
         raise ValueError(f"need T >= 2 snippets, got {t}")
-    sparsity = dc.reduce(dc.absolute(scores), axis="all", mode="sum")
+    sparsity = dc.reduce(dc.absolute(scores), mode="sum")
     diff = dc.sub(dc.slice_rows(scores, 1, t), dc.slice_rows(scores, 0, t - 1))
-    smoothness = dc.reduce(dc.hadamard(diff, diff), axis="all", mode="sum")
+    smoothness = dc.reduce(dc.hadamard(diff, diff), mode="sum")
     return sparsity, smoothness
 
 

@@ -22,6 +22,8 @@ import numpy as np
 
 from . import model as model_mod
 from . import objective
+from .container import (ChecksumError, FormatError, Reader, frame,
+                        open_container)
 from .dataio import Dataset, snippet_tensors
 from .diffcore import Node, Tape, backward
 from .model import ModelConfig, MultiScaleFeatures
@@ -29,26 +31,6 @@ from .objective import LossBreakdown, LossWeights
 
 CKPT_MAGIC = b"MTFC"
 CKPT_VERSION = 1
-
-
-class CheckpointError(Exception):
-    pass
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionError(CheckpointError):
-    pass
-
-
-class TruncationError(CheckpointError):
-    pass
-
-
-class ChecksumError(CheckpointError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -256,35 +238,17 @@ def _pack_tensor_table(tensors: dict[str, np.ndarray]) -> bytes:
     return b"".join(chunks)
 
 
-class _Reader:
-    def __init__(self, raw: bytes, offset: int, path):
-        self.raw = raw
-        self.pos = offset
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise TruncationError(f"{self.path}: checkpoint truncated at byte "
-                                  f"{self.pos} (needed {n} more)")
-        out = self.raw[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
-def _unpack_tensor_table(r: _Reader) -> dict[str, np.ndarray]:
+def _unpack_tensor_table(r: Reader) -> dict[str, np.ndarray]:
     count = r.u32()
     out = {}
     for _ in range(count):
-        raw_name = r.take(r.u32())
+        raw_name = bytes(r.take(r.u32()))
         try:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
-            raise CheckpointError(f"{r.path}: tensor name {raw_name[:40]!r} "
-                                  f"at byte {r.pos - len(raw_name)} is not "
-                                  f"UTF-8") from None
+            raise FormatError(f"{r.path}: tensor name {raw_name[:40]!r} "
+                              f"at byte {r.pos - len(raw_name)} is not "
+                              f"UTF-8") from None
         rows, cols = struct.unpack("<II", r.take(8))
         data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8")
         out[name] = data.reshape(rows, cols).copy()
@@ -320,8 +284,8 @@ def _config_from_json(raw: bytes, path) -> TrainConfig:
                             model=_from_header(ModelConfig, m),
                             loss=_from_header(LossWeights, t["loss"]))
     except (ValueError, KeyError, TypeError) as e:
-        raise CheckpointError(f"{path}: bad checkpoint header "
-                              f"({type(e).__name__}: {e})") from None
+        raise FormatError(f"{path}: bad checkpoint header "
+                          f"({type(e).__name__}: {e})") from None
 
 
 def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
@@ -335,8 +299,7 @@ def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(CKPT_MAGIC)
-            f.write(struct.pack("<I", CKPT_VERSION))
+            f.write(frame(CKPT_MAGIC, CKPT_VERSION))
             crc = 0
             for chunk in body:
                 f.write(chunk)
@@ -350,29 +313,18 @@ def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
 
 def load_checkpoint(path):
     """Returns (TrainConfig, params, AdamState)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 4 or raw[:4] != CKPT_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 12:
-        raise TruncationError(f"{path}: file too short ({len(raw)} bytes)")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != CKPT_VERSION:
-        raise VersionError(f"{path}: unsupported checkpoint version {version}")
+    r = open_container(path, CKPT_MAGIC, CKPT_VERSION)
     # Structural parse first so a chopped file reports truncation, not a
     # checksum mismatch; CRC catches in-place corruption afterwards.
-    r = _Reader(raw, 8, path)
-    header = r.take(r.u32())
+    header = bytes(r.take(r.u32()))
     step = r.u32()
     params = _unpack_tensor_table(r)
     m = _unpack_tensor_table(r)
     v = _unpack_tensor_table(r)
-    if r.pos + 4 > len(raw):
-        raise TruncationError(f"{path}: missing trailing checksum")
-    if r.pos + 4 != len(raw):
-        raise TruncationError(f"{path}: trailing bytes after tensor tables")
-    stored_crc = struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(raw[8:-4]) != stored_crc:
+    body_end = r.pos
+    stored_crc = r.u32()
+    r.end()
+    if zlib.crc32(r.raw[8:body_end]) != stored_crc:
         raise ChecksumError(f"{path}: CRC mismatch")
     return (_config_from_json(header, path), params,
             AdamState(m=m, v=v, step=step))

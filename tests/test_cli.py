@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import mtfl
-from mtfl import dataio
-from mtfl.cli import _read_curve_scores, run
+from mtfl import cli, dataio
+from mtfl.cli import (CliError, _read_curve_scores, build_parser, parse_args,
+                      run)
+from mtfl.container import FormatError
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
 
 from test_trainer import first_name_offset, header_of, with_header
@@ -63,6 +65,96 @@ def train_small(tmp_path, data, extra=()):
                 "--margin", "4", *extra])
     assert code == 0
     return out
+
+
+def every_flag():
+    """(command, flag, dest, kind) for every flag of every subcommand."""
+    for command, p in cli._commands(build_parser()).items():
+        for a in p._actions:
+            if a.option_strings and a.dest not in ("help", "config"):
+                kind = bool if a.nargs == 0 else a.type or str
+                yield pytest.param(command, a.option_strings[0], a.dest, kind,
+                                   id=f"{command} {a.option_strings[0]}")
+
+
+def on_line(flag, value):
+    if isinstance(value, bool):
+        return [flag] if value else []
+    return [flag, str(value)]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error,code", [
+        (CliError("bad usage"), 1),
+        (dataio.ManifestError("m.csv:1: bad"), 1),
+        (ValueError("bad value"), 1),
+        (json.JSONDecodeError("bad json", "{", 1), 1),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad byte"), 1),
+        (FormatError("f.mtfb: bad magic"), 2),
+        (OSError(5, "I/O error"), 2),
+        (RuntimeError("non-finite loss"), 2),
+    ], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x))
+    def test_each_kind_maps_to_its_code(self, monkeypatch, capsys, error,
+                                        code):
+        def fail(args):
+            raise error
+        monkeypatch.setattr(cli, "_cmd_gradcheck", fail)
+        got, _, err = run_capture(capsys, ["gradcheck"])
+        assert got == code
+        assert_one_line_error(err)
+
+    def test_interrupt_exits_2(self, monkeypatch):
+        def interrupt(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "_cmd_gradcheck", interrupt)
+        assert run(["gradcheck"]) == 2
+
+    def test_scoring_loop_value_error_is_validation_error(
+            self, tmp_path, monkeypatch, capsys):
+        data = small_synth(tmp_path)
+        out = train_small(tmp_path, data)
+
+        def fail(*args):
+            raise ValueError("n_frames must be >= 1")
+        monkeypatch.setattr(mtfl.metrics, "expand_to_frames", fail)
+        code, _, err = run_capture(capsys, [
+            "score", "--checkpoint", str(out / "final.mtfc"),
+            "--manifest", str(data / "test_manifest.csv"),
+            "--out-dir", str(tmp_path / "scores")])
+        assert code == 1
+        assert_one_line_error(err)
+
+
+class TestManifestFrames:
+    @pytest.mark.parametrize("frames", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["train", "score", "eval"])
+    def test_n_frames_below_one_is_validation_error(self, tmp_path, capsys,
+                                                    command, frames):
+        data = small_synth(tmp_path)
+        split = "train" if command == "train" else "test"
+        manifest = data / f"{split}_manifest.csv"
+        argv = {
+            "train": ["--out-dir", str(tmp_path / "run"), "--seed", "1",
+                      "--epochs", "1", "--batch-half", "2", "--t", "8",
+                      "--heads", "2"],
+            "score": ["--out-dir", str(tmp_path / "scores"),
+                      "--checkpoint", str(tmp_path / "run" / "final.mtfc")],
+            "eval": ["--scores-dir", str(tmp_path / "scores")],
+        }[command]
+        if command == "score":
+            train_small(tmp_path, data)
+        if command == "eval":
+            write_curves(tmp_path / "scores", manifest)
+        lines = manifest.read_text().splitlines(True)
+        fields = lines[1].split(",")
+        fields[2] = frames
+        lines[1] = ",".join(fields)
+        manifest.write_text("".join(lines))
+        code, _, err = run_capture(capsys, [command, "--manifest",
+                                            str(manifest), *argv])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"{manifest}:2: n_frames must be >= 1, got {frames}" in err
 
 
 class TestGradcheckCommand:
@@ -390,9 +482,58 @@ class TestConfigFilePrecedence:
         assert tcfg.epochs == 1 and tcfg.learning_rate == 1e-3
         assert tcfg.model.hidden == (8, 4) and not tcfg.model.use_pfl
 
+    @pytest.mark.parametrize("command,flag,dest,kind", every_flag())
+    def test_flag_and_config_key_agree(self, tmp_path, command, flag, dest,
+                                       kind):
+        one, other = {int: (3, 5), float: (0.25, 0.5), str: ("a", "b"),
+                      bool: (True, False)}[kind]
+        cfg = tmp_path / "cfg.json"
+
+        def parsed(config_value, line):
+            argv = [command, *line]
+            if config_value is not None:
+                cfg.write_text(json.dumps({dest: config_value}))
+                argv += ["--config", str(cfg)]
+            return getattr(parse_args(argv), dest)
+
+        assert parsed(None, on_line(flag, one)) == one
+        assert parsed(one, []) == one
+        assert parsed(other, on_line(flag, one)) == one
+
+    def test_unknown_key_rejected_before_writing(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "manifest": str(data / "train_manifest.csv"), "epoch": 1,
+            "batch_halff": 2, "seed": 1, "t": 8, "heads": 2, "margin": 4}))
+        out = tmp_path / "run"
+        code, _, err = run_capture(capsys, [
+            "train", "--config", str(cfg), "--out-dir", str(out)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert "batch_halff" in err and "epoch" in err
+        assert not out.exists()
+
+    def test_keys_of_other_commands_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "t": 4, "d": 8, "heads": 2, "checkpoint": "x.mtfc",
+            "per_video": True, "noise": 2.0, "hidden": [8, 4]}))
+        code, out, _ = run_capture(capsys, ["gradcheck", "--config", str(cfg)])
+        assert code == 0
+        assert "PASS" in out
+
     def test_bad_config_json_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         code, _, err = run_capture(capsys, ["gradcheck", "--config", str(cfg)])
         assert code == 1
         assert "JSON" in err
+
+    def test_config_not_utf8_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xff{"t": 4}')
+        code, _, err = run_capture(capsys, ["gradcheck", "--config", str(cfg)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert str(cfg) in err

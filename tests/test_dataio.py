@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtfl import dataio
-from mtfl.dataio import (BadMagicError, Dataset, NonFiniteError, SynthConfig,
-                         TruncationError, VersionError, VideoRecord,
-                         read_feature_file, read_manifest, segment_to_snippets,
-                         synth_generate, write_feature_file)
+from mtfl.container import (BadMagicError, NonFiniteError, TruncationError,
+                            VersionError)
+from mtfl.dataio import (Dataset, SynthConfig, VideoRecord, read_feature_file,
+                         read_manifest, segment_to_snippets, synth_generate,
+                         write_feature_file)
 
 
 class TestFeatureFiles:
@@ -108,6 +109,16 @@ class TestManifest:
         with pytest.raises(dataio.ManifestError, match=":1:"):
             read_manifest(m)
 
+    @pytest.mark.parametrize("frames", ["0", "-5"])
+    def test_n_frames_below_one_names_line(self, tmp_path, frames):
+        paths = write_video_files(tmp_path, "v0")
+        m = self._manifest(tmp_path, [
+            f"v0,0,100,{','.join(paths)},",
+            f"v1,1,{frames},{','.join(paths)},",
+        ])
+        with pytest.raises(dataio.ManifestError, match=f":2: n_frames"):
+            read_manifest(m)
+
     def test_d_mismatch_across_videos(self, tmp_path):
         paths = write_video_files(tmp_path, "v0", d=4)
         paths_a = write_video_files(tmp_path, "v1", d=6)
@@ -135,7 +146,46 @@ class TestManifest:
         assert path.read_text() == "\n".join(lines) + "\n"
 
 
+def segment_loop(clips, t):
+    """The per-snippet loop `segment_to_snippets` replaced, kept as its
+    reference."""
+    n = clips.shape[0]
+    out = np.empty((t, clips.shape[1]), dtype=clips.dtype)
+    for i in range(t):
+        lo = i * n // t
+        hi = (i + 1) * n // t
+        if hi <= lo:
+            out[i] = clips[lo]
+        else:
+            out[i] = clips[lo:hi].mean(axis=0)
+    return out
+
+
 class TestSegmentToSnippets:
+    @pytest.mark.parametrize("n,t", [(1, 1), (1, 32), (5, 32), (31, 32),
+                                     (32, 32), (33, 32), (100, 7),
+                                     (1000, 32), (4001, 70)])
+    def test_equals_loop(self, n, t):
+        rng = np.random.default_rng(n * 100 + t)
+        # float32 values widened to float64, as feature files load
+        clips = rng.normal(size=(n, 5)).astype(np.float32).astype(np.float64)
+        assert np.array_equal(segment_to_snippets(clips, t),
+                              segment_loop(clips, t))
+
+    @given(st.integers(1, 400), st.integers(1, 70), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_loop_on_random_shapes(self, n, t, d, seed):
+        clips = np.random.default_rng(seed).normal(size=(n, d))
+        # Bit-equal on float32 values, which is what feature files hold.
+        # Other float64 values may round differently in the last bit: the
+        # loop's mean and reduceat add a block's rows in different orders.
+        widened = clips.astype(np.float32).astype(np.float64)
+        assert np.array_equal(segment_to_snippets(widened, t),
+                              segment_loop(widened, t))
+        assert np.allclose(segment_to_snippets(clips, t),
+                           segment_loop(clips, t), rtol=0, atol=1e-12)
+
     def test_pairwise_means(self):
         clips = np.arange(64, dtype=float).reshape(64, 1)
         out = segment_to_snippets(clips, 32)

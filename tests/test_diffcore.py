@@ -153,33 +153,22 @@ class TestElementwise:
 class TestReduce:
     def test_mean_all_identity_matrix(self):
         tape = Tape()
-        out = dc.reduce(tape.leaf(np.eye(2)), axis="all", mode="mean")
+        out = dc.reduce(tape.leaf(np.eye(2)), mode="mean")
         assert out.value[0, 0] == 0.5
-
-    def test_row_sums(self):
-        tape = Tape()
-        out = dc.reduce(tape.leaf([[1.0, 2.0], [3.0, 4.0]]), axis="rows",
-                        mode="sum")
-        assert np.array_equal(out.value, [[3.0], [7.0]])
-
-    def test_per_row_mean_shape(self):
-        tape = Tape()
-        out = dc.reduce(tape.leaf(np.ones((7, 4))), axis="rows", mode="mean")
-        assert out.value.shape == (7, 1)
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         tape = Tape()
         p = tape.leaf(np.random.default_rng(0).normal(size=(3, 4)), name="p")
-        grads = backward(dc.reduce(p, axis="all", mode="sum"))
+        grads = backward(dc.reduce(p, mode="sum"))
         assert np.array_equal(grads["p"], np.ones((3, 4)))
 
     def test_half_square_gives_identity(self):
         x = np.random.default_rng(1).normal(size=(2, 5))
         tape = Tape()
         p = tape.leaf(x, name="p")
-        loss = dc.scale(dc.reduce(dc.hadamard(p, p), axis="all", mode="sum"), 0.5)
+        loss = dc.scale(dc.reduce(dc.hadamard(p, p), mode="sum"), 0.5)
         grads = backward(loss)
         assert np.allclose(grads["p"], x, rtol=1e-15)
 
@@ -203,13 +192,13 @@ class TestBackward:
         tape = Tape()
         p = tape.leaf(np.ones((2, 2)), name="p")
         tape.leaf(np.ones((3, 3)), name="unused")
-        grads = backward(dc.reduce(p, axis="all", mode="sum"))
+        grads = backward(dc.reduce(p, mode="sum"))
         assert np.array_equal(grads["unused"], np.zeros((3, 3)))
 
     def test_repeat_call_identical(self):
         tape = Tape()
         p = tape.leaf(np.random.default_rng(2).normal(size=(3, 3)), name="p")
-        loss = dc.reduce(dc.sigmoid(dc.matmul(p, p)), axis="all", mode="sum")
+        loss = dc.reduce(dc.sigmoid(dc.matmul(p, p)), mode="sum")
         g1 = backward(loss)
         g2 = backward(loss)
         assert np.array_equal(g1["p"], g2["p"])
@@ -222,7 +211,7 @@ class TestBackward:
             tape = Tape()
             p = tape.leaf(np.ones((2, 2)), name="p")
             tape.leaf(np.ones((3, 3)), name="unused")
-            loss = dc.reduce(dc.sigmoid(dc.matmul(p, p)), axis="all")
+            loss = dc.reduce(dc.sigmoid(dc.matmul(p, p)))
             backward(loss)
             alive = weakref.ref(tape)
             del tape, p, loss
@@ -266,7 +255,7 @@ class TestRowNorms:
         p = tape.leaf(x, name="p")
         norms = dc.row_norms(p)
         assert np.array_equal(norms.value.ravel(), [5.0, 0.0])
-        grads = backward(dc.reduce(norms, axis="all", mode="sum"))
+        grads = backward(dc.reduce(norms, mode="sum"))
         assert np.allclose(grads["p"][0], [0.6, 0.8])
         assert np.array_equal(grads["p"][1], [0.0, 0.0])
 
@@ -276,8 +265,7 @@ class TestFiniteDiffCheck:
         def build(p):
             tape = Tape()
             w = tape.leaf(p["w"], name="w")
-            return dc.scale(dc.reduce(dc.hadamard(w, w), axis="all",
-                                      mode="sum"), 0.5)
+            return dc.scale(dc.reduce(dc.hadamard(w, w), mode="sum"), 0.5)
 
         report = finite_diff_check(
             build, {"w": np.random.default_rng(0).normal(size=(3, 3))},
@@ -307,7 +295,7 @@ class TestFiniteDiffCheck:
             h = dc.softmax_rows(dc.matmul(tape.constant(x), w))
             h = dc.dilated_conv1d_depthwise(h, k, b, 2)
             h = dc.sigmoid(h)
-            return dc.reduce(dc.hadamard(h, h), axis="all", mode="mean")
+            return dc.reduce(dc.hadamard(h, h), mode="mean")
 
         params = {"w": rng.normal(size=(4, 4)), "k": rng.normal(size=(4, 3)),
                   "b": rng.normal(size=(1, 4))}
@@ -317,9 +305,9 @@ class TestFiniteDiffCheck:
 
 def _batch_sum(node):
     """Scalar sum of every entry of a batched node."""
-    per_matrix = dc.reduce(node, axis="all", mode="sum")
+    per_matrix = dc.reduce(node, mode="sum")
     return dc.reduce(dc.reshape(per_matrix, (1, per_matrix.value.size)),
-                     axis="all", mode="sum")
+                     mode="sum")
 
 
 # Each case maps a (3, 5, 4) batch x and 2-D weights w (4x4), k (4x3) and
@@ -334,9 +322,7 @@ BATCHED_OPS = {
     "conv": lambda x, w, k, b: dc.dilated_conv1d_depthwise(x, k, b, 2),
     "concat_cols": lambda x, w, k, b: dc.concat_cols([x, dc.matmul(x, w)]),
     "slice_rows": lambda x, w, k, b: dc.slice_rows(dc.matmul(x, w), 1, 4),
-    "reduce_rows_mean": lambda x, w, k, b: dc.reduce(dc.matmul(x, w),
-                                                     axis="rows", mode="mean"),
-    "reduce_cols": lambda x, w, k, b: dc.reduce(dc.matmul(x, w), axis="cols"),
+    "reduce_mean": lambda x, w, k, b: dc.reduce(dc.matmul(x, w), mode="mean"),
     "topk_mean": lambda x, w, k, b: dc.topk_mean(
         dc.row_norms(dc.matmul(x, w)), 2),
     "heads": lambda x, w, k, b: dc.transpose(

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from mtfl import dataio
 from mtfl.cli import _read_curve_lines, _read_curve_scores, run
-from mtfl.trainer import (CheckpointError, load_checkpoint, save_checkpoint,
-                          train)
+from mtfl.container import FormatError
+from mtfl.trainer import load_checkpoint, save_checkpoint, train
 
 from test_trainer import tiny_dataset, tiny_train_config
 
@@ -157,5 +157,5 @@ def test_mutated_checkpoint_raises_only_checkpoint_error(checkpoint, data):
     path.write_bytes(apply(raw, ops))
     try:
         load_checkpoint(path)
-    except CheckpointError as e:
+    except FormatError as e:
         assert str(path) in str(e)

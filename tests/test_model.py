@@ -76,6 +76,21 @@ class TestInitParams:
             assert full - model.param_count(cfg) == size
 
 
+def record_attention(monkeypatch) -> list[np.ndarray]:
+    """Keep the value of every `diffcore.softmax_rows` call the model
+    makes from now on: the attention that actually runs."""
+    seen = []
+    softmax_rows = dc.softmax_rows
+
+    def recording(m):
+        out = softmax_rows(m)
+        seen.append(out.value)
+        return out
+
+    monkeypatch.setattr(dc, "softmax_rows", recording)
+    return seen
+
+
 def forward_with_leaves(cfg, params, msf, mode="eval", rng=None):
     tape = Tape()
     leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
@@ -304,15 +319,15 @@ class TestForward:
         assert scores.value.shape == (TINY.t, 1)
         assert np.all((scores.value > 0) & (scores.value < 1))
 
-    def test_attention_rows_sum_to_one(self):
-        params = model.init_params(TINY, 8)
-        msf = random_msf(TINY, 8)
-        for prefix, (q, kv) in {"pfl.lm": (msf.f_l, msf.f_m),
-                                "pfl.ms": (msf.f_m, msf.f_s),
-                                "pfl.sl": (msf.f_s, msf.f_l)}.items():
-            for head in model.attention_weights(q, kv, params, prefix,
-                                                TINY.heads):
-                assert np.allclose(head.sum(axis=1), 1.0, atol=1e-6)
+    def test_attention_rows_sum_to_one(self, monkeypatch):
+        attention = record_attention(monkeypatch)
+        forward_with_leaves(TINY, model.init_params(TINY, 8),
+                            random_msf(TINY, 8))
+        # PFL lm, ms, sl, then GTL: one (heads, T, T) matrix each
+        shape = (TINY.heads, TINY.t, TINY.t)
+        assert [a.shape for a in attention] == [shape] * 4
+        for a in attention:
+            assert np.allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
     def test_full_forward_not_permutation_equivariant(self):
         # the conv gates are temporal, so permuting snippets changes output
@@ -329,10 +344,8 @@ class TestForward:
         params = model.init_params(TINY, 10)
         tape, leaves, x, scores = forward_with_leaves(TINY, params,
                                                       random_msf(TINY, 10))
-        loss = dc.reduce(dc.add(dc.reduce(dc.hadamard(x, x), axis="all",
-                                          mode="sum"),
-                                dc.reduce(scores, axis="all", mode="sum")),
-                         axis="all", mode="sum")
+        loss = dc.reduce(dc.add(dc.reduce(dc.hadamard(x, x), mode="sum"),
+                                dc.reduce(scores, mode="sum")), mode="sum")
         grads = backward(loss)
         dead = [n for n, g in grads.items() if not np.any(g)]
         assert dead == []

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from mtfl import dataio, trainer
+from mtfl import container, dataio, trainer
 from mtfl.dataio import Dataset, SynthConfig, synth_generate
 from mtfl.model import ModelConfig
 from mtfl.objective import LossWeights
-from mtfl.trainer import (AdamState, CheckpointError, TrainConfig, adam_step,
-                          load_checkpoint, sample_batch, save_checkpoint,
-                          train)
+from mtfl.container import FormatError
+from mtfl.trainer import (AdamState, TrainConfig, adam_step, load_checkpoint,
+                          sample_batch, save_checkpoint, train)
 
 TINY_MODEL = ModelConfig(d=8, t=8, heads=2, hidden=(6, 4))
 
@@ -214,7 +214,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
         path.write_bytes(b"NOPE" + path.read_bytes()[4:])
-        with pytest.raises(trainer.BadMagicError):
+        with pytest.raises(container.BadMagicError):
             load_checkpoint(path)
 
     def test_bad_version(self, tmp_path):
@@ -222,21 +222,21 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[4] = 77
         path.write_bytes(bytes(raw))
-        with pytest.raises(trainer.VersionError):
+        with pytest.raises(container.VersionError):
             load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
-        with pytest.raises(trainer.TruncationError):
+        with pytest.raises(container.TruncationError):
             load_checkpoint(path)
 
     def test_truncation_names_the_file(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[:first_name_offset(raw) + 2])
-        with pytest.raises(trainer.TruncationError, match=str(path)):
+        with pytest.raises(container.TruncationError, match=str(path)):
             load_checkpoint(path)
 
     def test_tensor_name_not_utf8_is_checkpoint_error(self, tmp_path):
@@ -244,7 +244,7 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[first_name_offset(raw)] = 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match=f"{path}.*tensor name"):
+        with pytest.raises(FormatError, match=f"{path}.*tensor name"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("failure", ["tensor-table", "disk-full"])
@@ -300,7 +300,7 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_header_with_retired_workers_key_loads(self, tmp_path):
@@ -334,7 +334,7 @@ class TestCheckpoint:
         _, _, _, path = self._trained(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(with_header(raw, edit(json.loads(header_of(raw)))))
-        with pytest.raises(CheckpointError, match="header"):
+        with pytest.raises(FormatError, match="header"):
             load_checkpoint(path)
 
     def test_scoring_with_reloaded_checkpoint_matches(self, tmp_path):
