@@ -21,7 +21,8 @@ import numpy as np
 from . import dataio, metrics, model, trainer
 from .container import FormatError
 from .dataio import ManifestError, SynthConfig
-from .model import ModelConfig
+from .diffcore import finite_diff_check
+from .model import ModelConfig, MultiScaleFeatures
 from .objective import LossWeights
 from .trainer import TrainConfig
 
@@ -111,8 +112,7 @@ def _cmd_train(args):
             hidden=args.hidden, dropout=args.dropout),
         learning_rate=args.lr,
         weight_decay=args.weight_decay,
-        batch_normal=args.batch_half,
-        batch_abnormal=args.batch_half,
+        batch_half=args.batch_half,
         epochs=args.epochs,
         seed=seed,
         loss=LossWeights(k=args.k, margin=args.margin,
@@ -235,18 +235,20 @@ def _cmd_gradcheck(args):
     return 0 if report.passed else 1
 
 
-def gradcheck_full_model(t=8, d=8, heads=2, seed=0, tol=1e-4, eps=1e-5,
-                         hidden=(6, 4), k=2, margin=3.0):
+# What `gradcheck` runs with: a small classifier, loss weights that let every
+# term move the gradients, and the central-difference step.
+GRADCHECK_HIDDEN = (6, 4)
+GRADCHECK_LOSS = LossWeights(lambda_fm=0.05, lambda1=0.05, lambda2=0.05,
+                             margin=3.0, k=2)
+GRADCHECK_EPS = 1e-5
+
+
+def gradcheck_full_model(t, d, heads, seed, tol):
     """Finite-difference check through the whole network plus the full
     four-term objective on a four-video batch, dropout off. The loss is
     built by `trainer.batch_loss`, the same function training runs."""
-    from .diffcore import finite_diff_check
-    from .model import MultiScaleFeatures
-
-    mcfg = ModelConfig(d=d, t=t, heads=heads, hidden=hidden,
+    mcfg = ModelConfig(d=d, t=t, heads=heads, hidden=GRADCHECK_HIDDEN,
                        dropout=0.0).validate()
-    weights = LossWeights(lambda_fm=0.05, lambda1=0.05, lambda2=0.05,
-                          margin=margin, k=k)
     rng = np.random.default_rng(seed)
     labels = [0, 0, 1, 1]
     msf = MultiScaleFeatures(*(rng.standard_normal((len(labels), t, d))
@@ -254,17 +256,17 @@ def gradcheck_full_model(t=8, d=8, heads=2, seed=0, tol=1e-4, eps=1e-5,
     params = model.init_params(mcfg, seed)
 
     def build(p):
-        total, _ = trainer.batch_loss(p, msf, labels, mcfg, weights, "eval",
-                                      None)
+        total, _ = trainer.batch_loss(p, msf, labels, mcfg, GRADCHECK_LOSS)
         return total
 
-    return finite_diff_check(build, params, eps=eps, tol=tol, seed=seed)
+    return finite_diff_check(build, params, eps=GRADCHECK_EPS, tol=tol,
+                             seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The subcommands and their flags; each flag's name, type and default
-    are written here and nowhere else. `mtfl <command> --help` prints the
-    defaults."""
+    """The subcommands and their flags. Each flag's default is written once:
+    here, or in the config field the flag sets. `mtfl <command> --help`
+    prints the defaults."""
     parser = argparse.ArgumentParser(
         prog="mtfl", description="Multi-timescale anomaly detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -281,33 +283,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="training manifest (required)")
     p.add_argument("--out-dir", help="checkpoint and loss-log directory "
                    "(required)")
-    p.add_argument("--epochs", type=int, default=1000, help="epochs")
-    p.add_argument("--lr", type=float, default=1e-4, help="Adam step size")
-    p.add_argument("--weight-decay", type=float, default=5e-4,
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="epochs")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="Adam step size")
+    p.add_argument("--weight-decay", type=float,
+                   default=TrainConfig.weight_decay,
                    help="decoupled weight decay")
-    p.add_argument("--batch-half", type=int, default=64,
+    p.add_argument("--batch-half", type=int, default=TrainConfig.batch_half,
                    help="videos per class in a batch")
     p.add_argument("--seed", type=int,
                    help="drawn at random and printed if not given")
-    p.add_argument("--k", type=int, default=3, help="top-k snippets")
-    p.add_argument("--margin", type=float, default=100.0,
+    p.add_argument("--k", type=int, default=LossWeights.k,
+                   help="top-k snippets")
+    p.add_argument("--margin", type=float, default=LossWeights.margin,
                    help="feature-magnitude margin")
-    p.add_argument("--lambda-fm", type=float, default=1e-4,
+    p.add_argument("--lambda-fm", type=float, default=LossWeights.lambda_fm,
                    help="feature-magnitude weight")
-    p.add_argument("--lambda1", type=float, default=8e-5,
+    p.add_argument("--lambda1", type=float, default=LossWeights.lambda1,
                    help="sparsity weight")
-    p.add_argument("--lambda2", type=float, default=8e-5,
+    p.add_argument("--lambda2", type=float, default=LossWeights.lambda2,
                    help="smoothness weight")
     for stage in ("pfl", "ltl", "gtl", "ff"):
         p.add_argument(f"--disable-{stage}", action="store_true",
                        help=f"bypass the {stage.upper()} stage")
-    p.add_argument("--t", type=int, default=32, help="snippets per video")
-    p.add_argument("--heads", type=int, default=4, help="attention heads")
-    p.add_argument("--dropout", type=float, default=0.7,
+    p.add_argument("--t", type=int, default=ModelConfig.t,
+                   help="snippets per video")
+    p.add_argument("--heads", type=int, default=ModelConfig.heads,
+                   help="attention heads")
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout,
                    help="classifier dropout rate")
-    p.add_argument("--checkpoint-every", type=int, default=0,
+    p.add_argument("--checkpoint-every", type=int,
+                   default=TrainConfig.checkpoint_every,
                    help="steps between checkpoints; 0: final only")
-    p.set_defaults(hidden=(512, 128))  # classifier widths; config file only
+    p.set_defaults(hidden=ModelConfig.hidden)  # set by config file only
 
     p = command("score", _cmd_score, "score a manifest with a checkpoint")
     p.add_argument("--checkpoint", help="checkpoint to score with (required)")
@@ -322,9 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("synth", _cmd_synth, "generate a synthetic dataset")
     p.add_argument("--out-dir", help="dataset directory (required)")
-    p.add_argument("--normal", type=int, default=40,
+    p.add_argument("--normal", type=int, default=SynthConfig.n_normal_train,
                    help="normal training videos")
-    p.add_argument("--abnormal", type=int, default=40,
+    p.add_argument("--abnormal", type=int,
+                   default=SynthConfig.n_abnormal_train,
                    help="abnormal training videos")
     p.add_argument("--test-normal", type=int,
                    help="normal test videos; max(1, normal // 4) "
@@ -332,11 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-abnormal", type=int,
                    help="abnormal test videos; max(1, abnormal // 4) "
                    "if not given")
-    p.add_argument("--d", type=int, default=16, help="feature dimension")
+    p.add_argument("--d", type=int, default=SynthConfig.d,
+                   help="feature dimension")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--boost", type=float, default=3.0,
+    p.add_argument("--boost", type=float, default=SynthConfig.boost,
                    help="anomaly mean shift")
-    p.add_argument("--noise", type=float, default=1.0, help="noise scale")
+    p.add_argument("--noise", type=float, default=SynthConfig.noise_scale,
+                   help="noise scale")
 
     p = command("gradcheck", _cmd_gradcheck,
                 "finite-difference gradient check")

@@ -10,6 +10,7 @@ where intervals is `s1:e1;s2:e2;...` (half-open frame ranges) or empty.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,8 @@ from .container import NonFiniteError, frame, open_container
 MAGIC = b"MTFB"
 VERSION = 1
 TUBELET_LENGTHS = {"short": 8, "medium": 32, "long": 64}
+# Range of the share of an abnormal synthetic video that is anomalous.
+ANOMALY_FRACTION = (0.2, 0.5)
 
 
 class ManifestError(Exception):
@@ -194,13 +197,16 @@ class SynthConfig:
     n_abnormal_test: int = 10
     d: int = 16
     frames_range: tuple[int, int] = (256, 768)
-    anomaly_fraction: tuple[float, float] = (0.2, 0.5)
     boost: float = 3.0
     noise_scale: float = 1.0
 
     def validate(self):
-        if self.boost <= 0:
-            raise ValueError("boost must be positive")
+        # Chained comparisons are false for NaN, so NaN is rejected too.
+        if not 0 < self.boost < math.inf:
+            raise ValueError(f"boost must be finite and > 0, got {self.boost}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise must be finite and >= 0, got "
+                             f"{self.noise_scale}")
         for name in ("n_normal_train", "n_abnormal_train",
                      "n_normal_test", "n_abnormal_test", "d"):
             if getattr(self, name) < 1:
@@ -213,7 +219,7 @@ def _synth_video(rng, cfg: SynthConfig, direction, video_id, label, with_interva
     z = np.zeros(n_frames)
     intervals = []
     if label == 1:
-        frac = rng.uniform(*cfg.anomaly_fraction)
+        frac = rng.uniform(*ANOMALY_FRACTION)
         length = max(1, int(round(frac * n_frames)))
         start = int(rng.integers(0, n_frames - length + 1))
         z[start:start + length] = 1.0

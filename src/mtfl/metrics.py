@@ -119,9 +119,6 @@ class EvalReport:
         return [f"AUC={self.auc:.6f}", f"AP={self.ap:.6f}",
                 f"positives={self.n_pos_frames}", f"negatives={self.n_neg_frames}"]
 
-    def csv_line(self) -> str:
-        return f"{self.auc:.6f},{self.ap:.6f},{self.n_pos_frames},{self.n_neg_frames}"
-
 
 def evaluate(videos: list[VideoRecord], frame_scores: dict[str, np.ndarray],
              per_video: bool = False) -> EvalReport:

@@ -11,14 +11,15 @@ another's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Node, Tape
 
-DEFAULT_DILATIONS = {"lm": 2, "ms": 1, "sl": 4}
+# Dilation of each LTL gate's conv, by timescale pair.
+DILATIONS = {"lm": 2, "ms": 1, "sl": 4}
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class ModelConfig:
     heads: int = 4
     hidden: tuple[int, int] = (512, 128)
     dropout: float = 0.7
-    dilations: dict = field(default_factory=lambda: dict(DEFAULT_DILATIONS))
     use_pfl: bool = True
     use_ltl: bool = True
     use_gtl: bool = True
@@ -45,11 +45,6 @@ class ModelConfig:
             raise ValueError(f"D/2={self.d // 2} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
-        if set(self.dilations) != {"lm", "ms", "sl"}:
-            raise ValueError("dilations must map exactly {lm, ms, sl}")
-        for pair, r in self.dilations.items():
-            if r < 1:
-                raise ValueError(f"dilation for {pair} must be >= 1, got {r}")
         return self
 
 
@@ -181,28 +176,23 @@ def ltl_forward(f_lm: Node, f_ms: Node, f_sl: Node, leaves,
     for name, p in (("lm", f_lm), ("ms", f_ms), ("sl", f_sl)):
         gate = dc.sigmoid(dc.dilated_conv1d_depthwise(
             p, leaves[f"ltl.{name}.conv_w"], leaves[f"ltl.{name}.conv_b"],
-            config.dilations[name]))
+            DILATIONS[name]))
         scaled.append(dc.hadamard(gate, p))
     total = dc.add(dc.add(scaled[0], scaled[1]), scaled[2])
-    return dc.add_rowvec(dc.matmul(total, leaves["ltl.proj_w"]),
-                         leaves["ltl.proj_b"])
+    return _project(total, leaves, "ltl.proj")
 
 
 def gtl_forward(f_l: Node, f_m: Node, f_s: Node, leaves,
                 config: ModelConfig) -> Node:
     """Concat the three scales, reduce to D/2, self-attend over snippets."""
     c = dc.concat_cols([f_l, f_m, f_s])
-    reduced = dc.add_rowvec(dc.matmul(c, leaves["gtl.red_w"]),
-                            leaves["gtl.red_b"])
+    reduced = _project(c, leaves, "gtl.red")
     return cross_attention(reduced, reduced, leaves, "gtl.msa", config.heads)
 
 
-def ff_fuse(u_local: Node, u_global: Node, residual: Node, leaves,
-            config: ModelConfig) -> Node:
-    z = dc.concat_cols([u_local, u_global])
-    projected = dc.add_rowvec(dc.matmul(z, leaves["ff.proj_w"]),
-                              leaves["ff.proj_b"])
-    return dc.add(projected, residual)
+def ff_fuse(z: Node, residual: Node, leaves) -> Node:
+    """Project the fuse input `z` to D and add the residual."""
+    return dc.add(_project(z, leaves, "ff.proj"), residual)
 
 
 def _dropout(x: Node, rate: float, rng) -> Node:
@@ -222,70 +212,48 @@ def _dropout(x: Node, rate: float, rng) -> Node:
     return dc.hadamard(x, x.tape.constant(mask))
 
 
-def classify(x: Node, leaves, config: ModelConfig, mode: str = "eval",
-             rng=None) -> Node:
-    """Per-snippet scores in (0,1). Dropout only in train mode, from rng
-    (see `_dropout`)."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be train or eval, got {mode!r}")
-    train = mode == "train"
-    if train and config.dropout > 0.0 and rng is None:
-        raise ValueError("train-mode dropout requires an rng")
-    h = dc.relu(_project(x, leaves, "clf.fc1"))
-    if train:
-        h = _dropout(h, config.dropout, rng)
-    h = dc.relu(_project(h, leaves, "clf.fc2"))
-    if train:
-        h = _dropout(h, config.dropout, rng)
+def classify(x: Node, leaves, config: ModelConfig, rng=None) -> Node:
+    """Per-snippet scores in (0,1). Dropout runs if and only if `rng` is
+    given (see `_dropout`)."""
+    h = x
+    for layer in ("clf.fc1", "clf.fc2"):
+        h = dc.relu(_project(h, leaves, layer))
+        if rng is not None:
+            h = _dropout(h, config.dropout, rng)
     return dc.sigmoid(_project(h, leaves, "clf.fc3"))
 
 
 def forward(msf: MultiScaleFeatures, leaves: dict[str, Node],
-            config: ModelConfig, mode: str = "eval",
-            rng=None) -> tuple[Tape, Node, Node]:
+            config: ModelConfig, rng=None) -> tuple[Tape, Node, Node]:
     """Assemble the full network on the tape that owns the parameter
     `leaves`; returns (tape, fused X, snippet scores).
 
     `msf` holds TxD matrices for one video, or (B,T,D) tensors for a batch
     of B videos that run as one forward; X and the scores then carry the
-    same leading axis. In train mode `rng` is one dropout generator per
-    video (a sequence for a batch).
+    same leading axis. Classifier dropout runs if and only if `rng` is
+    given: one dropout generator per video (a sequence for a batch).
 
     Disabled stages are bypassed: PFL passes the scale matrices through;
     with LTL (resp. GTL) off, the other branch's output is duplicated to
     fill both halves of the fuse input; with both off, the fuse input is
-    the mean of the pairwise matrices; with FF off, X is the raw TxD
-    concatenation with no residual. All four off reduces to the mean of
+    the mean of the pairwise matrices; with FF off, X is the fuse input
+    with no projection or residual. All four off reduces to the mean of
     the input scales.
     """
     tape = next(iter(leaves.values())).tape
-    f_s = tape.constant(msf.f_s)
-    f_m = tape.constant(msf.f_m)
-    f_l = tape.constant(msf.f_l)
+    f_s, f_m, f_l = map(tape.constant, (msf.f_s, msf.f_m, msf.f_l))
 
     f_lm, f_ms, f_sl = pfl_forward(f_l, f_m, f_s, leaves, config)
     u_local = ltl_forward(f_lm, f_ms, f_sl, leaves, config) if config.use_ltl else None
     u_global = gtl_forward(f_l, f_m, f_s, leaves, config) if config.use_gtl else None
 
     if u_local is None and u_global is None:
-        pair_mean = dc.scale(dc.add(dc.add(f_lm, f_ms), f_sl), 1.0 / 3.0)
-        halves = None
-    elif u_local is None:
-        halves = (u_global, u_global)
-    elif u_global is None:
-        halves = (u_local, u_local)
+        z = dc.scale(dc.add(dc.add(f_lm, f_ms), f_sl), 1.0 / 3.0)
     else:
-        halves = (u_local, u_global)
-
+        z = dc.concat_cols([u_global if u_local is None else u_local,
+                            u_local if u_global is None else u_global])
+    x = z
     if config.use_ff:
         residual = dc.scale(dc.add(dc.add(f_l, f_m), f_s), 1.0 / 3.0)
-        if halves is None:
-            x = dc.add(dc.add_rowvec(dc.matmul(pair_mean, leaves["ff.proj_w"]),
-                                     leaves["ff.proj_b"]), residual)
-        else:
-            x = ff_fuse(halves[0], halves[1], residual, leaves, config)
-    else:
-        x = dc.concat_cols(list(halves)) if halves is not None else pair_mean
-
-    scores = classify(x, leaves, config, mode=mode, rng=rng)
-    return tape, x, scores
+        x = ff_fuse(z, residual, leaves)
+    return tape, x, classify(x, leaves, config, rng)

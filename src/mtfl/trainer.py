@@ -31,6 +31,10 @@ from .objective import LossBreakdown, LossWeights
 
 CKPT_MAGIC = b"MTFC"
 CKPT_VERSION = 1
+# Adam's moment decay rates and denominator offset: the usual values.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,11 +42,7 @@ class TrainConfig:
     model: ModelConfig
     learning_rate: float = 1e-4
     weight_decay: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_normal: int = 64
-    batch_abnormal: int = 64
+    batch_half: int = 64  # videos of each class in a batch
     epochs: int = 1000
     seed: int = 0
     loss: LossWeights = field(default_factory=LossWeights)
@@ -54,8 +54,8 @@ class TrainConfig:
             raise ValueError("learning rate must be finite and positive")
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError("weight decay must be finite and nonnegative")
-        if self.batch_normal < 1 or self.batch_abnormal < 1:
-            raise ValueError("batch halves must be >= 1")
+        if self.batch_half < 1:
+            raise ValueError("batch half must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         self.model.validate()
@@ -86,7 +86,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     state.step += 1
     t = state.step
-    lr, b1, b2 = cfg.learning_rate, cfg.beta1, cfg.beta2
+    lr, b1, b2 = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2
     out = {}
     for name, p in params.items():
         g = grads[name]
@@ -97,27 +97,25 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1 ** t)
         v_hat = state.v[name] / (1 - b2 ** t)
-        new_p = p - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        new_p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if cfg.weight_decay > 0 and not name.endswith("_b"):
             new_p = new_p - lr * cfg.weight_decay * new_p
         out[name] = new_p
     return out
 
 
-def sample_batch(dataset: Dataset, rng: np.random.Generator,
-                 n_normal: int, n_abnormal: int):
-    """Class-balanced batch of video indices, with replacement when a class
-    is smaller than its half."""
+def sample_batch(dataset: Dataset, rng: np.random.Generator, n: int):
+    """`n` normal and `n` abnormal video indices, drawn with replacement
+    from a class smaller than `n`."""
     normals = [i for i, v in enumerate(dataset.videos) if v.label == 0]
     abnormals = [i for i, v in enumerate(dataset.videos) if v.label == 1]
     if not normals or not abnormals:
         raise ValueError("dataset must contain both classes")
 
-    def pick(pool, n):
-        replace_ = len(pool) < n
-        return list(rng.choice(pool, size=n, replace=replace_))
+    def pick(pool):
+        return list(rng.choice(pool, size=n, replace=len(pool) < n))
 
-    return pick(normals, n_normal), pick(abnormals, n_abnormal)
+    return pick(normals), pick(abnormals)
 
 
 def _video_rng(seed: int, step: int, video_index: int) -> np.random.Generator:
@@ -126,16 +124,15 @@ def _video_rng(seed: int, step: int, video_index: int) -> np.random.Generator:
 
 def batch_loss(params: dict[str, np.ndarray], msf: MultiScaleFeatures,
                labels, model_cfg: ModelConfig, weights: LossWeights,
-               mode: str, rngs) -> tuple[Node, LossBreakdown]:
+               rngs=None) -> tuple[Node, LossBreakdown]:
     """The objective over one batch, built on a single tape from one
     forward over the (B,T,D) tensors of `msf`: the parameters become leaves
-    once. `rngs` holds one dropout generator per video (None in eval
-    mode)."""
+    once. Dropout runs if and only if `rngs`, one dropout generator per
+    video, is given."""
     tape = Tape()
     leaves = {name: tape.leaf(value, name=name)
               for name, value in params.items()}
-    _, x, scores = model_mod.forward(msf, leaves, model_cfg, mode=mode,
-                                     rng=rngs)
+    _, x, scores = model_mod.forward(msf, leaves, model_cfg, rng=rngs)
     return objective.total_loss(x, scores, labels, weights)
 
 
@@ -144,25 +141,26 @@ def batch_gradients(feats: MultiScaleFeatures, labels: np.ndarray,
                     cfg: TrainConfig, step: int, mode: str = "train"):
     """Loss gradients for the batch `indices` of a dataset whose (N,T,D)
     snippet tensors are `feats` and labels `labels`, from a single reverse
-    sweep.
+    sweep. `mode` "train" gives each batch slot its own dropout generator,
+    drawn from (seed, step, slot); "eval" runs without dropout.
 
     Returns (grads, LossBreakdown).
     """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be train or eval, got {mode!r}")
     batch = MultiScaleFeatures(f_s=feats.f_s[indices], f_m=feats.f_m[indices],
                                f_l=feats.f_l[indices])
     rngs = ([_video_rng(cfg.seed, step, slot) for slot in range(len(indices))]
             if mode == "train" else None)
     total, breakdown = batch_loss(params, batch, labels[indices], cfg.model,
-                                  cfg.loss, mode, rngs)
+                                  cfg.loss, rngs)
     return backward(total), breakdown
 
 
 def steps_per_epoch(dataset: Dataset, cfg: TrainConfig) -> int:
     n_norm = sum(1 for v in dataset.videos if v.label == 0)
     n_abn = sum(1 for v in dataset.videos if v.label == 1)
-    largest = max(n_norm, n_abn)
-    half = max(cfg.batch_normal, cfg.batch_abnormal)
-    return max(1, -(-largest // half))
+    return max(1, -(-max(n_norm, n_abn) // cfg.batch_half))
 
 
 def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
@@ -188,9 +186,8 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
         step = 0
         for _epoch in range(cfg.epochs):
             for _ in range(per_epoch):
-                normals, abnormals = sample_batch(
-                    dataset, rng, cfg.batch_normal, cfg.batch_abnormal)
-                indices = normals + abnormals
+                normal, abnormal = sample_batch(dataset, rng, cfg.batch_half)
+                indices = normal + abnormal
                 grads, breakdown = batch_gradients(
                     feats, labels, indices, params, cfg, step, mode="train")
                 if not np.isfinite(breakdown.total):
@@ -222,7 +219,7 @@ def score_video(record, params, cfg_model: ModelConfig) -> np.ndarray:
     leaves = {name: tape.leaf(value, name=name)
               for name, value in params.items()}
     msf = snippet_tensors([record], cfg_model.t)
-    _, _, s = model_mod.forward(msf, leaves, cfg_model, mode="eval")
+    _, _, s = model_mod.forward(msf, leaves, cfg_model)
     return s.value.ravel()
 
 
@@ -271,14 +268,31 @@ def _from_header(cls, blob: dict, **nested):
     return cls(**{**blob, **nested})
 
 
+def _drop_retired(blob: dict, fixed: dict):
+    """Drop from `blob` the settings older headers hold and this version
+    fixes. Any other value than the fixed one is an error."""
+    for key, value in fixed.items():
+        if key in blob and (old := blob.pop(key)) != value:
+            raise ValueError(f"retired setting {key}={json.dumps(old)}, "
+                             f"now fixed at {json.dumps(value)}")
+
+
 def _config_from_json(raw: bytes, path) -> TrainConfig:
     try:
         blob = json.loads(raw.decode("utf-8"))
         if set(blob) != {"train", "step", "seed"}:
             raise ValueError(f"header keys {sorted(blob)}")
         t = dict(blob["train"])
-        t.pop("workers", None)  # retired setting, still in older headers
+        t.pop("workers", None)  # thread count; did not change results
+        _drop_retired(t, {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                          "eps": ADAM_EPS})
+        if "batch_normal" in t or "batch_abnormal" in t:
+            halves = t.pop("batch_normal", None), t.pop("batch_abnormal", None)
+            if halves[0] != halves[1]:
+                raise ValueError(f"unequal batch halves {halves}")
+            t["batch_half"] = halves[0]
         m = dict(t["model"])
+        _drop_retired(m, {"dilations": model_mod.DILATIONS})
         m["hidden"] = tuple(m["hidden"])
         return _from_header(TrainConfig, t,
                             model=_from_header(ModelConfig, m),

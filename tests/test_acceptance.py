@@ -59,8 +59,7 @@ def eval_auc(data, scores_dir):
 
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
-    r = gradcheck_full_model(t=8, d=8, heads=2, k=2, seed=0, tol=1e-4,
-                             eps=1e-5)
+    r = gradcheck_full_model(t=8, d=8, heads=2, seed=0, tol=1e-4)
     elapsed = time.time() - t0
     report(1, r.passed and elapsed < 60,
            f"max rel err {r.max_rel_error:.2e} in {elapsed:.1f}s")
@@ -109,7 +108,7 @@ def _small_training(log_path, epochs=3):
                       frames_range=(64, 128))
     ds, _ = synth_generate(cfg, 9)
     tcfg = TrainConfig(model=ModelConfig(d=8, t=8, heads=2, hidden=(6, 4)),
-                       epochs=epochs, batch_normal=4, batch_abnormal=4,
+                       epochs=epochs, batch_half=4,
                        seed=5, loss=LossWeights(k=2, margin=4.0))
     return train(ds, tcfg, log_path=log_path)
 
@@ -134,7 +133,7 @@ def test_criterion_5_loss_decomposition():
                       frames_range=(64, 128))
     ds, _ = synth_generate(cfg, 3)
     tcfg = TrainConfig(model=ModelConfig(d=8, t=8, heads=2, hidden=(6, 4)),
-                       epochs=2, batch_normal=2, batch_abnormal=2, seed=1,
+                       epochs=2, batch_half=2, seed=1,
                        loss=LossWeights(k=2, margin=4.0, lambda_fm=0.0,
                                         lambda1=0.0, lambda2=0.0))
     _, _, log = train(ds, tcfg)

@@ -17,7 +17,8 @@ from mtfl.cli import (CliError, _read_curve_scores, build_parser, parse_args,
 from mtfl.container import FormatError
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
 
-from test_trainer import first_name_offset, header_of, with_header
+from test_trainer import (first_name_offset, header_of, older_header,
+                          with_header)
 
 
 def run_capture(capsys, argv):
@@ -173,6 +174,20 @@ class TestSynthCommand:
         ds = dataio.read_manifest(data / "train_manifest.csv")
         assert len(ds.videos) == 8
 
+    @pytest.mark.parametrize("flags", [
+        ["--noise", "inf"], ["--noise", "nan"], ["--noise", "-1"],
+        ["--boost", "inf"], ["--boost", "nan"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_invalid_setting_rejected_before_writing(self, tmp_path, flags):
+        out = tmp_path / "data"
+        code, err, caught = run_with_warnings([
+            "synth", "--out-dir", str(out), "--normal", "1", "--abnormal",
+            "1", "--d", "4", *flags])
+        assert code == 1
+        assert_one_line_error(err)
+        assert caught == []
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_trains_and_checkpoints(self, tmp_path):
@@ -266,30 +281,35 @@ class TestScoreEvalCommands:
         data = small_synth(tmp_path)
         ckpt = train_small(tmp_path, data) / "final.mtfc"
         raw = ckpt.read_bytes()
-        header = json.loads(header_of(raw))
-        header["train"]["workers"] = 1  # a setting older versions wrote
-        ckpt.write_bytes(with_header(raw, json.dumps(header).encode()))
+        ckpt.write_bytes(with_header(raw, older_header(
+            json.loads(header_of(raw)))))
         code, _, err = run_capture(capsys, [
             "score", "--checkpoint", str(ckpt),
             "--manifest", str(data / "test_manifest.csv"),
             "--out-dir", str(tmp_path / "scores")])
         assert code == 0, err
 
-    @pytest.mark.parametrize("header", [
-        b"{not json", b'{"train": {}, "step": 0, "seed": 0}'],
-        ids=["invalid-json", "empty-train-config"])
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"{not json",
+        lambda h: b'{"train": {}, "step": 0, "seed": 0}',
+        lambda h: older_header(h, beta1=0.95),
+        lambda h: older_header(h, lm=3),
+        lambda h: older_header(h, halves=(2, 3)),
+    ], ids=["invalid-json", "empty-train-config", "retired-beta1-changed",
+            "retired-dilation-changed", "unequal-batch-halves"])
     def test_unparsable_checkpoint_header_is_runtime_error(
-            self, tmp_path, capsys, header):
+            self, tmp_path, capsys, edit):
         data = small_synth(tmp_path)
         ckpt = train_small(tmp_path, data) / "final.mtfc"
-        ckpt.write_bytes(with_header(ckpt.read_bytes(), header))
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(with_header(raw, edit(json.loads(header_of(raw)))))
         code, _, err = run_capture(capsys, [
             "score", "--checkpoint", str(ckpt),
             "--manifest", str(data / "test_manifest.csv"),
             "--out-dir", str(tmp_path / "scores")])
         assert code == 2
         assert_one_line_error(err)
-        assert "header" in err
+        assert f"{ckpt}: bad checkpoint header" in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_score_is_validation_error(self, tmp_path, bad):
@@ -369,8 +389,8 @@ class TestScoreEvalCommands:
         assert err
 
 
-def eval_without_warnings(argv):
-    """`mtfl eval` in-process: exit code, stderr, and any warning raised."""
+def run_with_warnings(argv):
+    """`mtfl` in-process: exit code, stderr, and any warning raised."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err):
@@ -406,7 +426,7 @@ class TestCurveReader:
         scores = tmp_path / "scores"
         write_curves(scores, manifest)
         (scores / f"{victim.video_id}.csv").write_text(text)
-        code, err, caught = eval_without_warnings([
+        code, err, caught = run_with_warnings([
             "eval", "--scores-dir", str(scores), "--manifest", str(manifest)])
         assert code == 1
         assert_one_line_error(err)

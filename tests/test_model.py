@@ -91,10 +91,10 @@ def record_attention(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
-def forward_with_leaves(cfg, params, msf, mode="eval", rng=None):
+def forward_with_leaves(cfg, params, msf, rng=None):
     tape = Tape()
     leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
-    _, x, scores = model.forward(msf, leaves, cfg, mode=mode, rng=rng)
+    _, x, scores = model.forward(msf, leaves, cfg, rng=rng)
     return tape, leaves, x, scores
 
 
@@ -217,7 +217,7 @@ class TestStages:
         leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
         gate = dc.sigmoid(dc.dilated_conv1d_depthwise(
             tape.constant(x), leaves["ltl.lm.conv_w"], leaves["ltl.lm.conv_b"],
-            cfg.dilations["lm"]))
+            model.DILATIONS["lm"]))
         assert np.all(gate.value > 1 - 1e-6)
 
     def test_gtl_output_shape_and_equivariance(self):
@@ -291,12 +291,6 @@ class TestClassify:
         _, _, _, high = forward_with_leaves(TINY, bumped, msf)
         assert np.all(high.value > low.value)
 
-    def test_train_dropout_needs_rng(self):
-        cfg = replace(TINY, dropout=0.5)
-        params = model.init_params(cfg, 0)
-        with pytest.raises(ValueError, match="rng"):
-            forward_with_leaves(cfg, params, random_msf(cfg), mode="train")
-
     def test_train_dropout_deterministic_given_rng(self):
         cfg = replace(TINY, dropout=0.5)
         params = model.init_params(cfg, 0)
@@ -304,8 +298,7 @@ class TestClassify:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(11)
-            _, _, _, s = forward_with_leaves(cfg, params, msf, mode="train",
-                                             rng=rng)
+            _, _, _, s = forward_with_leaves(cfg, params, msf, rng=rng)
             runs.append(s.value)
         assert np.array_equal(runs[0], runs[1])
 
@@ -372,13 +365,13 @@ class TestBatchedForward:
                     else None)
 
         _, _, xb, sb = forward_with_leaves(
-            cfg, params, batch, mode,
+            cfg, params, batch,
             [dropout_rng(i) for i in range(b)] if mode == "train" else None)
         assert xb.value.shape == (b, cfg.t, cfg.d)
         assert sb.value.shape == (b, cfg.t, 1)
         for i in range(b):
             one = MultiScaleFeatures(batch.f_s[i], batch.f_m[i], batch.f_l[i])
-            _, _, x1, s1 = forward_with_leaves(cfg, params, one, mode,
+            _, _, x1, s1 = forward_with_leaves(cfg, params, one,
                                                dropout_rng(i))
             assert np.allclose(xb.value[i], x1.value, rtol=1e-12, atol=1e-15)
             assert np.allclose(sb.value[i], s1.value, rtol=1e-12, atol=1e-15)
@@ -389,5 +382,5 @@ class TestBatchedForward:
         batch = MultiScaleFeatures(*(np.ones((3, cfg.t, cfg.d))
                                      for _ in range(3)))
         with pytest.raises(ValueError, match="generators"):
-            forward_with_leaves(cfg, params, batch, "train",
+            forward_with_leaves(cfg, params, batch,
                                 [np.random.default_rng(0)] * 2)

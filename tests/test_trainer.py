@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import zlib
 
@@ -25,8 +26,7 @@ def tiny_dataset(seed=7, n=4):
 
 
 def tiny_train_config(**kw):
-    defaults = dict(model=TINY_MODEL, epochs=2, batch_normal=2,
-                    batch_abnormal=2, seed=0,
+    defaults = dict(model=TINY_MODEL, epochs=2, batch_half=2, seed=0,
                     loss=LossWeights(k=2, margin=4.0))
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -56,8 +56,7 @@ class TestAdamStep:
 
     def test_two_steps_match_hand_unrolled_recurrence(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        cfg = TrainConfig(model=TINY_MODEL, learning_rate=lr, weight_decay=0.0,
-                          beta1=b1, beta2=b2, eps=eps)
+        cfg = TrainConfig(model=TINY_MODEL, learning_rate=lr, weight_decay=0.0)
         p = 2.0
         params = {"w": np.array([[p]])}
         state = AdamState.zeros_like(params)
@@ -86,14 +85,14 @@ class TestAdamStep:
 class TestSampleBatch:
     def test_deterministic_given_seed(self):
         ds, _ = tiny_dataset()
-        a = sample_batch(ds, np.random.default_rng(3), 2, 2)
-        b = sample_batch(ds, np.random.default_rng(3), 2, 2)
+        a = sample_batch(ds, np.random.default_rng(3), 2)
+        b = sample_batch(ds, np.random.default_rng(3), 2)
         assert a == b
 
     def test_exact_class_counts(self):
         ds, _ = tiny_dataset()
-        normals, abnormals = sample_batch(ds, np.random.default_rng(0), 3, 2)
-        assert len(normals) == 3 and len(abnormals) == 2
+        normals, abnormals = sample_batch(ds, np.random.default_rng(0), 3)
+        assert len(normals) == 3 and len(abnormals) == 3
         for i in normals:
             assert ds.videos[i].label == 0
         for i in abnormals:
@@ -104,7 +103,7 @@ class TestSampleBatch:
         rng = np.random.default_rng(1)
         seen = set()
         for _ in range(50):
-            _, abnormals = sample_batch(ds, rng, 2, 8)
+            _, abnormals = sample_batch(ds, rng, 8)
             seen.update(abnormals)
         all_abnormal = {i for i, v in enumerate(ds.videos) if v.label == 1}
         assert seen == all_abnormal
@@ -114,7 +113,7 @@ class TestSampleBatch:
         only_normal = Dataset(videos=[v for v in ds.videos if v.label == 0],
                               split="any")
         with pytest.raises(ValueError, match="classes"):
-            sample_batch(only_normal, np.random.default_rng(0), 1, 1)
+            sample_batch(only_normal, np.random.default_rng(0), 1)
 
 
 class TestTrain:
@@ -179,6 +178,18 @@ def with_header(raw: bytes, header: bytes) -> bytes:
     (n,) = struct.unpack("<I", raw[8:12])
     body = struct.pack("<I", len(header)) + header + raw[12 + n:-4]
     return raw[:8] + body + struct.pack("<I", zlib.crc32(body))
+
+
+def older_header(h: dict, beta1=0.9, lm=2, halves=None) -> bytes:
+    """The header `h` as older versions wrote it: with Adam's betas and
+    eps, two batch halves, the LTL dilations and a thread count. By
+    default each holds the value the current version fixes."""
+    t = dict(h["train"])
+    half = t.pop("batch_half")
+    t["batch_normal"], t["batch_abnormal"] = halves or (half, half)
+    t.update(beta1=beta1, beta2=0.999, eps=1e-8, workers=1)
+    t["model"] = {**t["model"], "dilations": {"lm": lm, "ms": 1, "sl": 4}}
+    return json.dumps({**h, "train": t}).encode()
 
 
 def first_name_offset(raw: bytes) -> int:
@@ -306,9 +317,7 @@ class TestCheckpoint:
     def test_header_with_retired_workers_key_loads(self, tmp_path):
         cfg, params, _, path = self._trained(tmp_path)
         header = json.loads(header_of(path.read_bytes()))
-        header["train"]["workers"] = 1  # as written by older versions
-        path.write_bytes(with_header(path.read_bytes(),
-                                     json.dumps(header).encode()))
+        path.write_bytes(with_header(path.read_bytes(), older_header(header)))
         cfg2, params2, _ = load_checkpoint(path)
         assert cfg2 == cfg
         for k in params:
@@ -327,14 +336,20 @@ class TestCheckpoint:
                               if k != "step"}).encode(),
         lambda h: json.dumps({**h, "epoch": 3}).encode(),
         lambda h: json.dumps([h]).encode(),
+        lambda h: older_header(h, beta1=0.95),
+        lambda h: older_header(h, lm=3),
+        lambda h: older_header(h, halves=(2, 3)),
     ], ids=["invalid-json", "invalid-utf8", "missing-field", "unknown-field",
             "unknown-model-field", "missing-step", "unknown-top-level-key",
-            "not-an-object"])
+            "not-an-object", "retired-beta1-changed",
+            "retired-dilation-changed", "unequal-batch-halves"])
     def test_unparsable_header_is_checkpoint_error(self, tmp_path, edit):
         _, _, _, path = self._trained(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(with_header(raw, edit(json.loads(header_of(raw)))))
-        with pytest.raises(FormatError, match="header"):
+        with pytest.raises(FormatError,
+                           match=f"{re.escape(str(path))}: bad checkpoint "
+                                 f"header"):
             load_checkpoint(path)
 
     def test_scoring_with_reloaded_checkpoint_matches(self, tmp_path):
@@ -389,7 +404,7 @@ class TestGradientStaging:
                     if mode == "train" else None)
                 one = MultiScaleFeatures(feats.f_s[i], feats.f_m[i],
                                          feats.f_l[i])
-                _, x, s = M.forward(one, leaves, cfg.model, mode=mode, rng=rng)
+                _, x, s = M.forward(one, leaves, cfg.model, rng=rng)
                 xs.append(x)
                 ss.append(s)
             total, _ = objective.total_loss(stack_videos(xs), stack_videos(ss),
@@ -419,7 +434,7 @@ class TestGradientStaging:
             labels = [0] * half + [1] * half
             rngs = [np.random.default_rng(i) for i in range(2 * half)]
             total, _ = trainer.batch_loss(params, msf, labels, cfg.model,
-                                          cfg.loss, "train", rngs)
+                                          cfg.loss, rngs)
             lengths.append(len(total.tape.nodes))
         assert lengths[0] == lengths[1]
         # one tape of batched ops, not one forward per video
