@@ -10,6 +10,8 @@ maps each exception kind to its code.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import secrets
 import sys
@@ -361,9 +363,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the values `run` sets.
+_MALLOPT_SETTINGS = ((-3, 32 << 20),   # M_MMAP_THRESHOLD
+                     (-1, 128 << 20))  # M_TRIM_THRESHOLD
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Keep freed memory in the process, so that a training step reuses the
+    last step's pages instead of faulting them in again: arrays up to
+    32 MiB come from the heap, not from mmap, and a free heap top under
+    128 MiB stays. Either setting alone still faults. True if libc took
+    both; a libc without mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return all(mallopt(param, value) == 1
+               for param, value in _MALLOPT_SETTINGS)
+
+
 def run(argv=None) -> int:
     """Run one command. Exception kinds map to exit codes here, and only
     here."""
+    _keep_freed_heap()
     try:
         args = parse_args(argv)
         return args.func(args)

@@ -35,6 +35,8 @@ class ModelConfig:
     use_ff: bool = True
 
     def validate(self):
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.t < 2:
             raise ValueError(f"snippet count T must be >= 2, got {self.t}")
         if self.d % 2 != 0:
@@ -207,8 +209,10 @@ def _dropout(x: Node, rate: float, rng) -> Node:
         if len(rng) != x.shape[0]:
             raise ValueError(f"{len(rng)} dropout generators for a batch "
                              f"of {x.shape[0]}")
-        draw = np.stack([r.random(x.shape[1:]) for r in rng])
-    mask = (draw >= rate) / (1.0 - rate)
+        draw = np.empty(x.shape)
+        for r, row in zip(rng, draw):
+            r.random(out=row)
+    mask = np.divide(draw >= rate, 1.0 - rate, out=draw)
     return dc.hadamard(x, x.tape.constant(mask))
 
 

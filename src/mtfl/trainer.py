@@ -58,6 +58,8 @@ class TrainConfig:
             raise ValueError("batch half must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.model.validate()
         self.loss.validate()
         if self.loss.k > self.model.t:

@@ -165,6 +165,13 @@ class TestGradcheckCommand:
         assert "PASS" in out
         assert "max relative error" in out
 
+    @pytest.mark.parametrize("heads", ["0", "-2"])
+    def test_heads_below_one_is_validation_error(self, capsys, heads):
+        code, _, err = run_capture(capsys, ["gradcheck", "--heads", heads])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"heads must be >= 1, got {heads}" in err
+
 
 class TestSynthCommand:
     def test_writes_manifests_and_features(self, tmp_path):
@@ -219,6 +226,23 @@ class TestTrainCommand:
 
     def test_unknown_flag_rejected(self, tmp_path):
         assert run(["train", "--nonsense"]) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--heads", "0"), ("--heads", "-2"), ("--seed", "-1")],
+        ids=lambda x: x)
+    def test_setting_error_names_setting_before_writing(self, tmp_path,
+                                                        capsys, flag, value):
+        data = small_synth(tmp_path)
+        out = tmp_path / "run"
+        argv = ["train", "--manifest", str(data / "train_manifest.csv"),
+                "--out-dir", str(out), "--epochs", "1", "--batch-half", "2",
+                "--seed", "1", "--t", "8", "--heads", "2", "--margin", "4",
+                flag, value]
+        code, _, err = run_capture(capsys, argv)
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"{flag[2:]} must be >= " in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"], ["--lr", "-1e-3"],

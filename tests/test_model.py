@@ -384,3 +384,17 @@ class TestBatchedForward:
         with pytest.raises(ValueError, match="generators"):
             forward_with_leaves(cfg, params, batch,
                                 [np.random.default_rng(0)] * 2)
+
+    @pytest.mark.parametrize("b", [1, 16])
+    @pytest.mark.parametrize("width", [512, 128])
+    def test_batch_masks_match_stacked_draws(self, b, width):
+        """The masks drawn into one buffer equal those of one fresh draw per
+        video, stacked, from generators of the same seeds."""
+        rate, shape = 0.7, (b, 32, width)
+        x = Tape().leaf(np.ones(shape))
+        out = model._dropout(x, rate, [np.random.default_rng([5, slot])
+                                       for slot in range(b)])
+        rngs = [np.random.default_rng([5, slot]) for slot in range(b)]
+        expected = (np.stack([r.random(shape[1:]) for r in rngs])
+                    >= rate) / (1.0 - rate)
+        assert np.array_equal(out.value, expected)

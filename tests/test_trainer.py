@@ -1,4 +1,5 @@
 import json
+import platform
 import re
 import struct
 import zlib
@@ -8,6 +9,7 @@ import pytest
 from dataclasses import replace
 
 from mtfl import container, dataio, trainer
+from mtfl import model as model_mod
 from mtfl.dataio import Dataset, SynthConfig, synth_generate
 from mtfl.model import ModelConfig
 from mtfl.objective import LossWeights
@@ -439,3 +441,38 @@ class TestGradientStaging:
         assert lengths[0] == lengths[1]
         # one tape of batched ops, not one forward per video
         assert lengths[0] < 300
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting is glibc's mallopt")
+class TestAllocation:
+    def test_training_step_takes_few_page_faults(self):
+        """With the CLI's allocator setting a training step reuses the freed
+        heap of the last one; when glibc hands it back to the kernel, a step
+        faults in more than 2,000 pages of it again."""
+        import resource
+
+        from mtfl import cli
+        from mtfl.dataio import snippet_tensors
+
+        assert cli._keep_freed_heap()
+        ds, _ = synth_generate(SynthConfig(
+            n_normal_train=40, n_abnormal_train=40, n_normal_test=1,
+            n_abnormal_test=1, d=16), 1)
+        cfg = TrainConfig(model=ModelConfig(d=16, t=32), batch_half=8,
+                          seed=1)
+        feats = snippet_tensors(ds.videos, cfg.model.t)
+        labels = np.array([v.label for v in ds.videos])
+        params = model_mod.init_params(cfg.model, cfg.seed)
+        state = AdamState.zeros_like(params)
+        rng = np.random.default_rng(0)
+        faults = []
+        for step in range(25):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            normal, abnormal = sample_batch(ds, rng, cfg.batch_half)
+            grads, _ = trainer.batch_gradients(
+                feats, labels, normal + abnormal, params, cfg, step)
+            params = adam_step(params, grads, state, cfg)
+            faults.append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert np.mean(faults[5:]) <= 64, faults
