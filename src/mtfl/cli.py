@@ -121,7 +121,7 @@ def _cmd_train(args):
                          lambda_fm=args.lambda_fm, lambda1=args.lambda1,
                          lambda2=args.lambda2),
         checkpoint_every=args.checkpoint_every,
-    ).validate()
+    )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trainer.train(dataset, cfg, out_dir=out, log_path=out / "loss_log.csv")
@@ -220,7 +220,7 @@ def _cmd_synth(args):
         d=args.d,
         boost=args.boost,
         noise_scale=args.noise,
-    ).validate()
+    )
     train_ds, test_ds = dataio.synth_generate(cfg, args.seed,
                                               out_dir=args.out_dir)
     print(f"wrote {len(train_ds.videos)} train and {len(test_ds.videos)} "
@@ -249,8 +249,10 @@ def gradcheck_full_model(t, d, heads, seed, tol):
     """Finite-difference check through the whole network plus the full
     four-term objective on a four-video batch, dropout off. The loss is
     built by `trainer.batch_loss`, the same function training runs."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     mcfg = ModelConfig(d=d, t=t, heads=heads, hidden=GRADCHECK_HIDDEN,
-                       dropout=0.0).validate()
+                       dropout=0.0)
     rng = np.random.default_rng(seed)
     labels = [0, 0, 1, 1]
     msf = MultiScaleFeatures(*(rng.standard_normal((len(labels), t, d))

@@ -200,7 +200,7 @@ class SynthConfig:
     boost: float = 3.0
     noise_scale: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         # Chained comparisons are false for NaN, so NaN is rejected too.
         if not 0 < self.boost < math.inf:
             raise ValueError(f"boost must be finite and > 0, got {self.boost}")
@@ -211,7 +211,10 @@ class SynthConfig:
                      "n_normal_test", "n_abnormal_test", "d"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        return self
+        lo, hi = self.frames_range
+        if not 1 <= lo <= hi:
+            raise ValueError(f"frames_range must satisfy 1 <= lo <= hi, got "
+                             f"{self.frames_range}")
 
 
 def _synth_video(rng, cfg: SynthConfig, direction, video_id, label, with_intervals):
@@ -248,7 +251,8 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir=None):
     """Deterministic synthetic train/test datasets; anomalous clips carry a
     mean shift of `boost` along one fixed unit direction. Writes feature
     files plus train/test manifests when `out_dir` is given."""
-    cfg.validate()
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(cfg.d)
     direction /= np.linalg.norm(direction)

@@ -34,11 +34,13 @@ class ModelConfig:
     use_gtl: bool = True
     use_ff: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if self.heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.t < 2:
             raise ValueError(f"snippet count T must be >= 2, got {self.t}")
+        if self.d < 2:
+            raise ValueError(f"feature dimension D must be >= 2, got {self.d}")
         if self.d % 2 != 0:
             raise ValueError(f"feature dimension D must be even, got {self.d}")
         if self.d % self.heads != 0:
@@ -47,7 +49,8 @@ class ModelConfig:
             raise ValueError(f"D/2={self.d // 2} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
-        return self
+        if len(self.hidden) != 2 or min(self.hidden) < 1:
+            raise ValueError(f"hidden must be two widths >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -112,7 +115,6 @@ def param_count(config: ModelConfig) -> int:
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    config.validate()
     rng = np.random.default_rng(seed)
     params = {}
     for name, (rows, cols) in _tensor_shapes(config).items():
@@ -145,13 +147,7 @@ def cross_attention(q_src: Node, kv_src: Node, leaves, prefix: str,
                     heads: int) -> Node:
     """Multi-head cross-attention; self-attention when q_src is kv_src.
     Every head of every video attends in one batched product."""
-    if q_src.shape != kv_src.shape:
-        raise ValueError(
-            f"attention source shapes differ: {q_src.shape} vs {kv_src.shape}")
-    width = q_src.shape[-1]
-    if width % heads != 0:
-        raise ValueError(f"width {width} not divisible by {heads} heads")
-    dh = width // heads
+    dh = q_src.shape[-1] // heads
     q = _split_heads(_project(q_src, leaves, f"{prefix}.q"), heads)
     k = _split_heads(_project(kv_src, leaves, f"{prefix}.k"), heads)
     v = _split_heads(_project(kv_src, leaves, f"{prefix}.v"), heads)

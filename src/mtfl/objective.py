@@ -29,13 +29,12 @@ class LossWeights:
     margin: float = 100.0
     k: int = 3
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("lambda_fm", "lambda1", "lambda2", "margin"):
             if not 0 <= getattr(self, name) < math.inf:  # False for NaN
                 raise ValueError(f"{name} must be finite and nonnegative")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        return self
 
 
 @dataclass
@@ -112,7 +111,6 @@ def total_loss(x: Node, scores: Node, labels,
     values; the breakdown total is composed with the same float arithmetic
     as the node.
     """
-    weights.validate()
     labels = np.asarray(labels)
     if x.shape[:-2] != labels.shape or scores.shape[:-2] != labels.shape:
         raise ValueError(f"batch of {labels.size} labels does not match "

@@ -48,7 +48,7 @@ class TrainConfig:
     loss: LossWeights = field(default_factory=LossWeights)
     checkpoint_every: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         # Chained comparisons are false for NaN, so NaN is rejected too.
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be finite and positive")
@@ -60,12 +60,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.model.validate()
-        self.loss.validate()
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got "
+                             f"{self.checkpoint_every}")
         if self.loss.k > self.model.t:
             raise ValueError(f"top-k k={self.loss.k} exceeds the snippet "
                              f"count T={self.model.t}")
-        return self
 
 
 @dataclass
@@ -172,7 +172,6 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
     Log rows are (step, LossBreakdown); also written as CSV when
     `log_path` is given. Deterministic in (dataset, cfg, seed).
     """
-    cfg.validate()
     dataset.validate()
     feats = snippet_tensors(dataset.videos, cfg.model.t)
     labels = np.array([v.label for v in dataset.videos])

@@ -159,7 +159,7 @@ def test_criterion_6_shape_and_attention_invariants(monkeypatch):
         t = int(rng.choice([8, 16, 32]))
         d = int(rng.choice([8, 16, 32]))
         heads = int(rng.choice([h for h in (1, 2, 4) if (d // 2) % h == 0]))
-        cfg = ModelConfig(d=d, t=t, heads=heads, hidden=(6, 4)).validate()
+        cfg = ModelConfig(d=d, t=t, heads=heads, hidden=(6, 4))
         params = model.init_params(cfg, int(rng.integers(0, 2**31)))
         msf = MultiScaleFeatures(
             f_s=rng.standard_normal((t, d)), f_m=rng.standard_normal((t, d)),

@@ -17,8 +17,8 @@ from mtfl.cli import (CliError, _read_curve_scores, build_parser, parse_args,
 from mtfl.container import FormatError
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
 
-from test_trainer import (first_name_offset, header_of, older_header,
-                          with_header)
+from test_trainer import (edited_header, first_name_offset, header_of,
+                          older_header, with_header)
 
 
 def run_capture(capsys, argv):
@@ -172,6 +172,12 @@ class TestGradcheckCommand:
         assert_one_line_error(err)
         assert f"heads must be >= 1, got {heads}" in err
 
+    def test_negative_seed_is_validation_error(self, capsys):
+        code, _, err = run_capture(capsys, ["gradcheck", "--seed", "-1"])
+        assert code == 1
+        assert_one_line_error(err)
+        assert "seed must be >= 0, got -1" in err
+
 
 class TestSynthCommand:
     def test_writes_manifests_and_features(self, tmp_path):
@@ -183,7 +189,7 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--noise", "inf"], ["--noise", "nan"], ["--noise", "-1"],
-        ["--boost", "inf"], ["--boost", "nan"],
+        ["--boost", "inf"], ["--boost", "nan"], ["--seed", "-1"],
     ], ids=lambda flags: " ".join(flags))
     def test_invalid_setting_rejected_before_writing(self, tmp_path, flags):
         out = tmp_path / "data"
@@ -192,6 +198,7 @@ class TestSynthCommand:
             "1", "--d", "4", *flags])
         assert code == 1
         assert_one_line_error(err)
+        assert f"{flags[0][2:]} must be " in err
         assert caught == []
         assert not out.exists()
 
@@ -249,7 +256,7 @@ class TestTrainCommand:
         ["--weight-decay", "nan"], ["--weight-decay", "inf"],
         ["--weight-decay", "-1"], ["--k", "5", "--t", "4"],
         ["--margin", "nan"], ["--lambda-fm", "inf"],
-        ["--workers", "2"],
+        ["--workers", "2"], ["--checkpoint-every", "-1"],
     ], ids=lambda flags: " ".join(flags))
     def test_invalid_setting_rejected_before_writing(self, tmp_path, capsys,
                                                      flags):
@@ -262,6 +269,23 @@ class TestTrainCommand:
             *flags])
         assert code == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hidden", [[0, 4], [-1, 4]], ids=json.dumps)
+    def test_invalid_hidden_from_config_rejected_before_writing(
+            self, tmp_path, capsys, hidden):
+        data = small_synth(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden": hidden}))
+        out = tmp_path / "run"
+        code, _, err = run_capture(capsys, [
+            "train", "--config", str(cfg), "--manifest",
+            str(data / "train_manifest.csv"), "--out-dir", str(out),
+            "--epochs", "1", "--batch-half", "2", "--seed", "1", "--t", "8",
+            "--heads", "2"])
+        assert code == 1
+        assert_one_line_error(err)
+        assert "hidden must be two widths >= 1" in err
         assert not out.exists()
 
 
@@ -319,8 +343,9 @@ class TestScoreEvalCommands:
         lambda h: older_header(h, beta1=0.95),
         lambda h: older_header(h, lm=3),
         lambda h: older_header(h, halves=(2, 3)),
+        lambda h: edited_header(h, model={"heads": 0}),
     ], ids=["invalid-json", "empty-train-config", "retired-beta1-changed",
-            "retired-dilation-changed", "unequal-batch-halves"])
+            "retired-dilation-changed", "unequal-batch-halves", "heads-0"])
     def test_unparsable_checkpoint_header_is_runtime_error(
             self, tmp_path, capsys, edit):
         data = small_synth(tmp_path)
@@ -334,6 +359,7 @@ class TestScoreEvalCommands:
         assert code == 2
         assert_one_line_error(err)
         assert f"{ckpt}: bad checkpoint header" in err
+        assert not (tmp_path / "scores").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_score_is_validation_error(self, tmp_path, bad):

@@ -24,15 +24,15 @@ def random_msf(cfg, seed=0, scale=1.0):
 class TestConfig:
     def test_rejects_odd_d(self):
         with pytest.raises(ValueError, match="even"):
-            ModelConfig(d=7, heads=1).validate()
+            ModelConfig(d=7, heads=1)
 
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(d=12, heads=4).validate()  # D/2=6 not divisible by 4
+            ModelConfig(d=12, heads=4)  # D/2=6 not divisible by 4
 
     def test_rejects_bad_dropout(self):
         with pytest.raises(ValueError, match="dropout"):
-            ModelConfig(d=8, heads=2, dropout=1.0).validate()
+            ModelConfig(d=8, heads=2, dropout=1.0)
 
 
 class TestInitParams:

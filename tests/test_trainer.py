@@ -1,4 +1,5 @@
 import json
+import math
 import platform
 import re
 import struct
@@ -32,6 +33,44 @@ def tiny_train_config(**kw):
                     loss=LossWeights(k=2, margin=4.0))
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+VALID_CONFIGS = {
+    ModelConfig: TINY_MODEL,
+    LossWeights: LossWeights(),
+    TrainConfig: TrainConfig(model=TINY_MODEL),
+    SynthConfig: SynthConfig(),
+}
+
+
+@pytest.mark.parametrize("cls,changes", [
+    (ModelConfig, {"heads": 0}), (ModelConfig, {"t": 1}),
+    (ModelConfig, {"d": 0}), (ModelConfig, {"d": 7, "heads": 1}),
+    (ModelConfig, {"d": 12, "heads": 4}),
+    (ModelConfig, {"dropout": float("nan")}), (ModelConfig, {"dropout": 1.0}),
+    (ModelConfig, {"hidden": (0, 4)}), (ModelConfig, {"hidden": (-1, 4)}),
+    (ModelConfig, {"hidden": (4,)}),
+    (LossWeights, {"lambda_fm": -1.0}), (LossWeights, {"margin": math.nan}),
+    (LossWeights, {"lambda2": math.inf}), (LossWeights, {"k": 0}),
+    (TrainConfig, {"learning_rate": 0.0}),
+    (TrainConfig, {"learning_rate": math.nan}),
+    (TrainConfig, {"weight_decay": -1.0}), (TrainConfig, {"batch_half": 0}),
+    (TrainConfig, {"epochs": 0}), (TrainConfig, {"seed": -1}),
+    (TrainConfig, {"checkpoint_every": -1}),
+    (TrainConfig, {"loss": LossWeights(k=TINY_MODEL.t + 1)}),
+    (SynthConfig, {"boost": 0.0}), (SynthConfig, {"noise_scale": math.inf}),
+    (SynthConfig, {"n_abnormal_test": 0}), (SynthConfig, {"d": 0}),
+    (SynthConfig, {"frames_range": (768, 256)}),
+    (SynthConfig, {"frames_range": (0, 4)}),
+], ids=lambda x: x.__name__ if isinstance(x, type) else repr(x))
+def test_invalid_config_cannot_be_made(cls, changes):
+    """A config checks its rules when it is made: directly, and through
+    `dataclasses.replace`."""
+    valid = VALID_CONFIGS[cls]
+    with pytest.raises(ValueError):
+        cls(**{**vars(valid), **changes})
+    with pytest.raises(ValueError):
+        replace(valid, **changes)
 
 
 class TestAdamStep:
@@ -194,6 +233,15 @@ def older_header(h: dict, beta1=0.9, lm=2, halves=None) -> bytes:
     return json.dumps({**h, "train": t}).encode()
 
 
+def edited_header(h: dict, model=None, loss=None, **train_fields) -> bytes:
+    """The header `h` with the given train, model and loss fields
+    replaced."""
+    t = {**h["train"], **train_fields}
+    t["model"] = {**t["model"], **(model or {})}
+    t["loss"] = {**t["loss"], **(loss or {})}
+    return json.dumps({**h, "train": t}).encode()
+
+
 def first_name_offset(raw: bytes) -> int:
     """Byte offset of the first tensor name in checkpoint `raw`: after the
     magic, version, header, step, table count and name length."""
@@ -330,10 +378,8 @@ class TestCheckpoint:
         lambda h: b"\xff\xfe",
         lambda h: json.dumps({**h, "train": {
             k: v for k, v in h["train"].items() if k != "epochs"}}).encode(),
-        lambda h: json.dumps({**h, "train": {**h["train"],
-                                             "threads": 2}}).encode(),
-        lambda h: json.dumps({**h, "train": {**h["train"], "model": {
-            **h["train"]["model"], "width": 3}}}).encode(),
+        lambda h: edited_header(h, threads=2),
+        lambda h: edited_header(h, model={"width": 3}),
         lambda h: json.dumps({k: v for k, v in h.items()
                               if k != "step"}).encode(),
         lambda h: json.dumps({**h, "epoch": 3}).encode(),
@@ -341,10 +387,20 @@ class TestCheckpoint:
         lambda h: older_header(h, beta1=0.95),
         lambda h: older_header(h, lm=3),
         lambda h: older_header(h, halves=(2, 3)),
+        lambda h: edited_header(h, model={"heads": 0}),
+        lambda h: edited_header(h, model={"t": 1}),
+        lambda h: edited_header(h, model={"dropout": float("nan")}),
+        lambda h: edited_header(h, loss={"k": h["train"]["model"]["t"] + 1}),
+        lambda h: edited_header(h, seed=-1),
+        lambda h: edited_header(h, learning_rate=0),
+        lambda h: edited_header(h, model={"hidden": [0, 4]}),
+        lambda h: edited_header(h, model={"heads": "2"}),
     ], ids=["invalid-json", "invalid-utf8", "missing-field", "unknown-field",
             "unknown-model-field", "missing-step", "unknown-top-level-key",
             "not-an-object", "retired-beta1-changed",
-            "retired-dilation-changed", "unequal-batch-halves"])
+            "retired-dilation-changed", "unequal-batch-halves", "heads-0",
+            "t-1", "dropout-nan", "k-above-t", "seed-negative", "lr-0",
+            "hidden-width-0", "heads-string"])
     def test_unparsable_header_is_checkpoint_error(self, tmp_path, edit):
         _, _, _, path = self._trained(tmp_path)
         raw = path.read_bytes()
