@@ -10,6 +10,7 @@ maps each exception kind to its code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
@@ -17,6 +18,7 @@ import secrets
 import sys
 import warnings
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,23 +35,15 @@ class CliError(ValueError):
     """A usage or validation error the CLI finds itself (exit 1)."""
 
 
-def _from_config(name: str, value, kind, default):
-    """Convert a JSON config value as argparse converts the flag's text;
-    a value of the wrong type is a validation error."""
+def _from_config(name: str, value, kind):
+    """A config value by `trainer.from_json`, or a number flag's text."""
+    if isinstance(value, str) and kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(value)
     try:
-        if kind is tuple:
-            if isinstance(value, list):
-                return tuple(_from_config(name, v, type(d), d)
-                             for v, d in zip(value, default, strict=True))
-        elif kind in (bool, str):
-            if isinstance(value, kind):
-                return value
-        else:
-            return kind(value if isinstance(value, str) else json.dumps(value))
-    except (TypeError, ValueError):
-        pass
-    raise CliError(f"config file: {name} must be {kind.__name__}, "
-                   f"got {json.dumps(value)}")
+        return trainer.from_json(kind, value, name)
+    except ValueError as e:
+        raise CliError(f"config file: {e}") from None
 
 
 def _commands(parser) -> dict[str, argparse.ArgumentParser]:
@@ -60,8 +54,9 @@ def _commands(parser) -> dict[str, argparse.ArgumentParser]:
 def _config_keys(p: argparse.ArgumentParser) -> dict[str, type]:
     """The config-file keys subcommand `p` reads, each with the type of its
     value: every flag but --config and --help (a switch takes a bool), and
-    every key set only by `set_defaults`, such as `hidden`."""
-    keys = {k: type(v) for k, v in p._defaults.items() if k != "func"}
+    every key set only by `set_defaults`: `hidden`, a ModelConfig field."""
+    hints = get_type_hints(ModelConfig)
+    keys = {k: hints[k] for k in p._defaults if k != "func"}
     for a in p._actions:
         if a.option_strings and a.dest not in ("help", "config"):
             keys[a.dest] = bool if a.nargs == 0 else a.type or str
@@ -92,8 +87,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         raise CliError(f"config file: unknown key(s) {', '.join(unknown)}")
     p = commands[args.command]
     keys = _config_keys(p)
-    p.set_defaults(**{name: _from_config(name, value, keys[name],
-                                         p.get_default(name))
+    p.set_defaults(**{name: _from_config(name, value, keys[name])
                       for name, value in blob.items() if name in keys})
     return parser.parse_args(argv)
 

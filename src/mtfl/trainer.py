@@ -14,9 +14,11 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field, is_dataclass
 from itertools import chain
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -257,20 +259,27 @@ def _unpack_tensor_table(r: Reader) -> dict[str, np.ndarray]:
     return out
 
 
-def _config_to_json(cfg: TrainConfig, step: int) -> bytes:
-    blob = asdict(cfg)
-    blob["model"]["hidden"] = list(cfg.model.hidden)
-    return json.dumps({"train": blob, "step": step, "seed": cfg.seed},
-                      sort_keys=True).encode("utf-8")
-
-
-def _from_header(cls, blob: dict, **nested):
-    """`cls` from a header object that must hold exactly its fields."""
-    odd = set(blob) ^ {f.name for f in fields(cls)}
-    if odd:
-        raise ValueError(
-            f"{cls.__name__} fields missing or unknown: {sorted(odd)}")
-    return cls(**{**blob, **nested})
+def from_json(kind, value, name: str):
+    """The setting of type `kind` that decoded JSON `value` holds: the one
+    rule for config files and checkpoint headers. int: an integer; float:
+    any number, an int widened; neither takes a bool. bool, str: their own
+    type. tuple[...]: a list of its length; a config dataclass: an object of
+    exactly its fields. Each part is read by its annotated kind. Anything
+    else is a ValueError naming `name`."""
+    args = get_args(kind)
+    if is_dataclass(kind) and isinstance(value, dict):
+        hints = get_type_hints(kind)
+        if odd := sorted(set(value) ^ set(hints)):
+            raise ValueError(f"{name} fields missing or unknown: {odd}")
+        return kind(**{k: from_json(hints[k], v, f"{name}.{k}")
+                       for k, v in value.items()})
+    if args and isinstance(value, list) and len(value) == len(args):
+        return tuple(from_json(a, v, name) for a, v in zip(args, value))
+    if type(value) is kind or (kind, type(value)) == (float, int):
+        with suppress(OverflowError):  # an int too large for a float
+            return kind(value)
+    raise ValueError(f"{name} must be {kind if args else kind.__name__}, "
+                     f"got {json.dumps(value)[:60]}")
 
 
 def _drop_retired(blob: dict, fixed: dict):
@@ -282,26 +291,35 @@ def _drop_retired(blob: dict, fixed: dict):
                              f"now fixed at {json.dumps(value)}")
 
 
-def _config_from_json(raw: bytes, path) -> TrainConfig:
+def _config_from_json(raw: bytes, path, step: int, tables) -> TrainConfig:
+    """The header's config; its step and seed must be the stored ones, and
+    each tensor table must hold the tensors of the model it describes."""
     try:
         blob = json.loads(raw.decode("utf-8"))
         if set(blob) != {"train", "step", "seed"}:
             raise ValueError(f"header keys {sorted(blob)}")
-        t = dict(blob["train"])
+        t = {**blob["train"]}
         t.pop("workers", None)  # thread count; did not change results
         _drop_retired(t, {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
                           "eps": ADAM_EPS})
         if "batch_normal" in t or "batch_abnormal" in t:
             halves = t.pop("batch_normal", None), t.pop("batch_abnormal", None)
-            if halves[0] != halves[1]:
+            if json.dumps(halves[0]) != json.dumps(halves[1]):  # 2 vs 2.0
                 raise ValueError(f"unequal batch halves {halves}")
             t["batch_half"] = halves[0]
-        m = dict(t["model"])
-        _drop_retired(m, {"dilations": model_mod.DILATIONS})
-        m["hidden"] = tuple(m["hidden"])
-        return _from_header(TrainConfig, t,
-                            model=_from_header(ModelConfig, m),
-                            loss=_from_header(LossWeights, t["loss"]))
+        t["model"] = {**t["model"]}
+        _drop_retired(t["model"], {"dilations": model_mod.DILATIONS})
+        cfg = from_json(TrainConfig, t, "train")
+        for key, stored in (("step", step), ("seed", cfg.seed)):
+            if from_json(int, blob[key], key) != stored:
+                raise ValueError(f"header {key} {blob[key]} != {stored}")
+        shapes = model_mod._tensor_shapes(cfg.model)
+        for table in tables:
+            got = {k: a.shape for k, a in table.items()}
+            if odd := sorted(k for k in got.keys() | shapes.keys()
+                             if got.get(k) != shapes.get(k)):
+                raise ValueError(f"tensors {odd[:3]} do not fit the model")
+        return cfg
     except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: bad checkpoint header "
                           f"({type(e).__name__}: {e})") from None
@@ -311,7 +329,8 @@ def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
                     state: AdamState):
     """Write to `<path>.tmp`, then rename it over `path`: a write that fails
     or is killed part-way leaves the previous checkpoint at `path` whole."""
-    header = _config_to_json(cfg, state.step)
+    header = json.dumps({"train": asdict(cfg), "step": state.step,
+                         "seed": cfg.seed}, sort_keys=True).encode("utf-8")
     body = chain((struct.pack("<I", len(header)), header,
                   struct.pack("<I", state.step)),
                  map(_pack_tensor_table, (params, state.m, state.v)))
@@ -337,13 +356,11 @@ def load_checkpoint(path):
     # checksum mismatch; CRC catches in-place corruption afterwards.
     header = bytes(r.take(r.u32()))
     step = r.u32()
-    params = _unpack_tensor_table(r)
-    m = _unpack_tensor_table(r)
-    v = _unpack_tensor_table(r)
+    params, m, v = (_unpack_tensor_table(r) for _ in range(3))
     body_end = r.pos
     stored_crc = r.u32()
     r.end()
     if zlib.crc32(r.raw[8:body_end]) != stored_crc:
         raise ChecksumError(f"{path}: CRC mismatch")
-    return (_config_from_json(header, path), params,
+    return (_config_from_json(header, path, step, (params, m, v)), params,
             AdamState(m=m, v=v, step=step))

@@ -1,11 +1,14 @@
 import contextlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -16,6 +19,9 @@ from mtfl.cli import (CliError, _read_curve_scores, build_parser, parse_args,
                       run)
 from mtfl.container import FormatError
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
+from mtfl.model import ModelConfig
+from mtfl.objective import LossWeights
+from mtfl.trainer import TrainConfig
 
 from test_trainer import (edited_header, first_name_offset, header_of,
                           older_header, with_header)
@@ -380,8 +386,12 @@ class TestScoreEvalCommands:
         lambda h: older_header(h, lm=3),
         lambda h: older_header(h, halves=(2, 3)),
         lambda h: edited_header(h, model={"heads": 0}),
+        lambda h: edited_header(h, model={"heads": 2.0}),
+        lambda h: edited_header(h, model={"use_pfl": "no"}),
+        lambda h: edited_header(h, model={"use_ff": False}),
     ], ids=["invalid-json", "empty-train-config", "retired-beta1-changed",
-            "retired-dilation-changed", "unequal-batch-halves", "heads-0"])
+            "retired-dilation-changed", "unequal-batch-halves", "heads-0",
+            "heads-float", "use-pfl-string", "ff-tensors-without-use-ff"])
     def test_unparsable_checkpoint_header_is_runtime_error(
             self, tmp_path, capsys, edit):
         data = small_synth(tmp_path)
@@ -395,6 +405,22 @@ class TestScoreEvalCommands:
         assert code == 2
         assert_one_line_error(err)
         assert f"{ckpt}: bad checkpoint header" in err
+        assert not (tmp_path / "scores").exists()
+
+    def test_header_claiming_a_stage_without_its_tensors_is_runtime_error(
+            self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        ckpt = train_small(tmp_path, data, ["--disable-ff"]) / "final.mtfc"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(with_header(raw, edited_header(
+            json.loads(header_of(raw)), model={"use_ff": True})))
+        code, _, err = run_capture(capsys, [
+            "score", "--checkpoint", str(ckpt),
+            "--manifest", str(data / "test_manifest.csv"),
+            "--out-dir", str(tmp_path / "scores")])
+        assert code == 2
+        assert_one_line_error(err)
+        assert f"{ckpt}: bad checkpoint header" in err and "ff.proj" in err
         assert not (tmp_path / "scores").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -531,6 +557,18 @@ class TestCurveReader:
         assert code == 1
         assert_one_line_error(err)
         assert str(curve) in err
+
+
+def test_settable_value_count():
+    """The values a user can set: every field of the four configs that is
+    not itself a config, and every argument of `gradcheck_full_model`. A new
+    setting changes this count."""
+    hints = [get_type_hints(cls)[f.name]
+             for cls in (TrainConfig, ModelConfig, LossWeights, SynthConfig)
+             for f in fields(cls)]
+    count = sum(not is_dataclass(kind) for kind in hints)
+    count += len(inspect.signature(cli.gradcheck_full_model).parameters)
+    assert count == 33
 
 
 class TestConfigFilePrecedence:

@@ -1,12 +1,15 @@
-"""Fuzz tests: mutated score curves and checkpoints must end in the
-documented errors, never in a traceback, a warning or an exception of
-another type."""
+"""Fuzz tests: mutated score curves, checkpoints and checkpoint headers
+must end in the documented errors, never in a traceback, a warning or an
+exception of another type."""
 
 import contextlib
 import io
+import json
 import struct
 import warnings
+from dataclasses import fields, is_dataclass
 from datetime import timedelta
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from mtfl.cli import _read_curve_lines, _read_curve_scores, run
 from mtfl.container import FormatError
 from mtfl.trainer import load_checkpoint, save_checkpoint, train
 
-from test_trainer import tiny_dataset, tiny_train_config
+from test_trainer import (header_of, tiny_dataset, tiny_train_config,
+                          with_header)
 
 FUZZ = settings(max_examples=50, deadline=timedelta(seconds=5))
 
@@ -159,3 +163,65 @@ def test_mutated_checkpoint_raises_only_checkpoint_error(checkpoint, data):
         load_checkpoint(path)
     except FormatError as e:
         assert str(path) in str(e)
+
+
+def leaf_paths(blob, path=()):
+    """The key paths of every value in decoded JSON `blob` that is not an
+    object: each list, and each of its elements."""
+    if isinstance(blob, dict):
+        for key, value in blob.items():
+            yield from leaf_paths(value, path + (key,))
+        return
+    yield path
+    if isinstance(blob, list):
+        for i, value in enumerate(blob):
+            yield from leaf_paths(value, path + (i,))
+
+
+def replaced(blob, path, value):
+    """A copy of `blob` with the value at key path `path` replaced."""
+    if not path:
+        return value
+    out = list(blob) if isinstance(blob, list) else dict(blob)
+    out[path[0]] = replaced(blob[path[0]], path[1:], value)
+    return out
+
+
+def assert_typed(cfg):
+    """Every field of config `cfg` holds its annotated type exactly."""
+    hints = get_type_hints(type(cfg))
+    for f in fields(cfg):
+        kind, value = hints[f.name], getattr(cfg, f.name)
+        if is_dataclass(kind):
+            assert_typed(value)
+        elif get_args(kind):
+            assert type(value) is tuple, (f.name, value)
+            assert tuple(map(type, value)) == get_args(kind), (f.name, value)
+        else:
+            assert type(value) is kind, (f.name, value)
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10**400, 10**400), st.floats(), st.text(max_size=8))
+json_values = st.one_of(json_scalars, st.lists(json_scalars, max_size=3))
+
+
+@FUZZ
+@given(data=st.data())
+def test_header_value_loads_typed_or_raises_checkpoint_error(checkpoint,
+                                                             data):
+    """One value of a real header replaced by any JSON value: the
+    checkpoint loads with every config field of its annotated type, or is
+    a checkpoint error naming the file."""
+    path, raw, _ = checkpoint
+    header = json.loads(header_of(raw))
+    leaf = data.draw(st.sampled_from(list(leaf_paths(header))))
+    edited = replaced(header, leaf, data.draw(json_values))
+    path.write_bytes(with_header(raw, json.dumps(edited).encode()))
+    try:
+        cfg, _, _ = load_checkpoint(path)
+    except FormatError as e:
+        assert str(path) in str(e)
+    else:
+        assert_typed(cfg)

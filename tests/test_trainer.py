@@ -397,12 +397,32 @@ class TestCheckpoint:
         lambda h: edited_header(h, learning_rate=0),
         lambda h: edited_header(h, model={"hidden": [0, 4]}),
         lambda h: edited_header(h, model={"heads": "2"}),
+        lambda h: edited_header(h, model={"heads": 2.0}),
+        lambda h: edited_header(h, model={"heads": True}),
+        lambda h: edited_header(h, model={"t": 8.0}),
+        lambda h: edited_header(h, model={"hidden": [6.0, 4]}),
+        lambda h: edited_header(h, loss={"k": 2.0}),
+        lambda h: edited_header(h, model={"use_pfl": "no"}),
+        lambda h: edited_header(h, batch_half=2.0),
+        lambda h: edited_header(h, epochs=True),
+        lambda h: older_header(h, halves=(2.0, 2.0)),
+        lambda h: older_header(h, halves=(2, 2.0)),
+        lambda h: edited_header(h, model={"use_pfl": False}),
+        lambda h: edited_header(h, model={"hidden": [8, 4]}),
+        lambda h: json.dumps({**h, "step": h["step"] + 1}).encode(),
+        lambda h: json.dumps({**h, "seed": 7}).encode(),
+        lambda h: json.dumps({**h, "step": float(h["step"])}).encode(),
     ], ids=["invalid-json", "invalid-utf8", "missing-field", "unknown-field",
             "unknown-model-field", "missing-step", "unknown-top-level-key",
             "not-an-object", "retired-beta1-changed",
             "retired-dilation-changed", "unequal-batch-halves", "heads-0",
             "t-1", "dropout-nan", "k-above-t", "seed-negative", "lr-0",
-            "hidden-width-0", "heads-string"])
+            "hidden-width-0", "heads-string", "heads-float", "heads-bool",
+            "t-float", "hidden-float", "k-float", "use-pfl-string",
+            "batch-half-float", "epochs-bool", "older-batch-halves-float",
+            "older-batch-halves-int-and-float",
+            "pfl-tensors-without-use-pfl", "hidden-not-the-tensors",
+            "step-not-stored", "seed-not-train-seed", "step-float"])
     def test_unparsable_header_is_checkpoint_error(self, tmp_path, edit):
         _, _, _, path = self._trained(tmp_path)
         raw = path.read_bytes()
@@ -411,6 +431,37 @@ class TestCheckpoint:
                            match=f"{re.escape(str(path))}: bad checkpoint "
                                  f"header"):
             load_checkpoint(path)
+
+    def test_tensor_tables_must_match_header(self, tmp_path):
+        """A `--disable-ff` checkpoint whose header claims FF, and a
+        checkpoint whose Adam moment table lacks a tensor."""
+        ds, _ = tiny_dataset()
+        cfg = tiny_train_config(epochs=1,
+                                model=replace(TINY_MODEL, use_ff=False))
+        params, state, _ = train(ds, cfg)
+        path = tmp_path / "ckpt.mtfc"
+        save_checkpoint(path, cfg, params, state)
+        raw = path.read_bytes()
+        path.write_bytes(with_header(raw, edited_header(
+            json.loads(header_of(raw)), model={"use_ff": True})))
+        bad_header = f"{re.escape(str(path))}: bad checkpoint header"
+        with pytest.raises(FormatError, match=bad_header):
+            load_checkpoint(path)
+        state.m.pop("clf.fc3_b")
+        save_checkpoint(path, cfg, params, state)
+        with pytest.raises(FormatError, match=bad_header):
+            load_checkpoint(path)
+
+    def test_float_field_written_as_json_int_loads(self, tmp_path):
+        cfg, _, _, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(with_header(raw, edited_header(
+            json.loads(header_of(raw)), model={"dropout": 0},
+            loss={"margin": 4})))
+        cfg2, _, _ = load_checkpoint(path)
+        assert cfg2 == replace(cfg, model=replace(cfg.model, dropout=0.0))
+        assert type(cfg2.model.dropout) is float
+        assert type(cfg2.loss.margin) is float
 
     def test_scoring_with_reloaded_checkpoint_matches(self, tmp_path):
         cfg, params, state, path = self._trained(tmp_path)
