@@ -14,6 +14,7 @@ import contextlib
 import ctypes
 import functools
 import json
+import math
 import secrets
 import sys
 import warnings
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import dataio, metrics, model, trainer
 from .container import FormatError
-from .dataio import ManifestError, SynthConfig
+from .dataio import SynthConfig
 from .diffcore import finite_diff_check
-from .model import ModelConfig, MultiScaleFeatures
+from .model import ModelConfig
 from .objective import LossWeights
 from .trainer import TrainConfig
 
@@ -187,10 +188,15 @@ def _cmd_eval(args):
     if args.scores_dir is None or args.manifest is None:
         raise CliError("eval requires --scores-dir and --manifest")
     dataset = dataio.read_manifest(args.manifest, split="test")
+    if not dataset.videos:
+        raise CliError(f"{args.manifest}: no videos to evaluate")
     frame_scores = {v.video_id: _read_curve_scores(
         Path(args.scores_dir) / f"{v.video_id}.csv") for v in dataset.videos}
-    report = metrics.evaluate(dataset.videos, frame_scores,
-                              per_video=args.per_video)
+    try:
+        report = metrics.evaluate(dataset.videos, frame_scores,
+                                  per_video=args.per_video)
+    except metrics.DegenerateLabelsError as e:  # frames of one class
+        raise CliError(f"{args.manifest}: {e}") from None
     for line in report.summary_lines():
         print(line)
     if args.per_video:
@@ -250,16 +256,18 @@ def gradcheck_full_model(t, d, heads, seed, tol):
     built by `trainer.batch_loss`, the same function training runs."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    # Chained comparisons are false for NaN, so NaN is rejected too.
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     mcfg = ModelConfig(d=d, t=t, heads=heads, hidden=GRADCHECK_HIDDEN,
                        dropout=0.0)
     rng = np.random.default_rng(seed)
     labels = [0, 0, 1, 1]
-    msf = MultiScaleFeatures(*(rng.standard_normal((len(labels), t, d))
-                               for _ in range(3)))
+    feats = rng.standard_normal((3, len(labels), t, d))
     params = model.init_params(mcfg, seed)
 
     def build(p):
-        total, _ = trainer.batch_loss(p, msf, labels, mcfg, GRADCHECK_LOSS)
+        total, _ = trainer.batch_loss(p, feats, labels, mcfg, GRADCHECK_LOSS)
         return total
 
     return finite_diff_check(build, params, eps=GRADCHECK_EPS, tol=tol,
@@ -399,7 +407,7 @@ def run(argv=None) -> int:
     except (FormatError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ManifestError, ValueError) as e:  # CliError is a ValueError
+    except ValueError as e:  # so are CliError and ManifestError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

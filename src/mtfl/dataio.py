@@ -26,8 +26,8 @@ TUBELET_LENGTHS = {"short": 8, "medium": 32, "long": 64}
 ANOMALY_FRACTION = (0.2, 0.5)
 
 
-class ManifestError(Exception):
-    pass
+class ManifestError(ValueError):
+    """A manifest that breaks a rule; the message names the file."""
 
 
 @dataclass
@@ -35,20 +35,20 @@ class VideoRecord:
     video_id: str
     label: int
     n_frames: int
-    clips_short: np.ndarray
-    clips_medium: np.ndarray
-    clips_long: np.ndarray
+    clips: tuple[np.ndarray, ...]  # (N_scale, D) each, TUBELET_LENGTHS order
     intervals: list[tuple[int, int]] = field(default_factory=list)
 
     def validate(self):
         if self.label not in (0, 1):
             raise ValueError(f"{self.video_id}: label must be 0 or 1")
-        d = self.clips_short.shape[1]
-        for name, clips in (("medium", self.clips_medium), ("long", self.clips_long)):
-            if clips.shape[1] != d:
+        for scale, clips in zip(TUBELET_LENGTHS, self.clips, strict=True):
+            if clips.shape[0] < 1:
+                raise ValueError(f"{self.video_id}: {scale}-scale feature "
+                                 f"file has no rows")
+            if clips.shape[1] != self.dim:
                 raise ValueError(
-                    f"{self.video_id}: {name}-scale D={clips.shape[1]} differs "
-                    f"from short-scale D={d}")
+                    f"{self.video_id}: {scale}-scale D={clips.shape[1]} "
+                    f"differs from short-scale D={self.dim}")
         prev_end = -1
         for start, end in sorted(self.intervals):
             if not (0 <= start < end <= self.n_frames):
@@ -64,7 +64,7 @@ class VideoRecord:
 
     @property
     def dim(self) -> int:
-        return self.clips_short.shape[1]
+        return self.clips[0].shape[1]
 
 
 @dataclass
@@ -125,42 +125,43 @@ def format_intervals(intervals) -> str:
 
 
 def read_manifest(path, split: str = "train") -> Dataset:
+    """The dataset a manifest lists, its feature files read. A line that
+    breaks a rule is a ManifestError naming `path` and the line."""
     path = Path(path)
-    base = path.parent
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{path}: not UTF-8: {e}") from None
     videos = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 7:
-                raise ManifestError(
-                    f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
-            vid, label_s, frames_s, p_short, p_med, p_long, ivals = fields
-            if vid in ("", ".", "..") or "/" in vid or "\\" in vid:
-                raise ManifestError(f"{path}:{lineno}: video id {vid!r} "
-                                    f"is not a file name")
-            try:
-                label = int(label_s)
-                n_frames = int(frames_s)
-                if n_frames < 1:
-                    raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-                intervals = parse_intervals(ivals)
-            except ValueError as e:
-                raise ManifestError(f"{path}:{lineno}: {e}") from None
-            record = VideoRecord(
-                video_id=vid,
-                label=label,
-                n_frames=n_frames,
-                clips_short=read_feature_file(base / p_short),
-                clips_medium=read_feature_file(base / p_med),
-                clips_long=read_feature_file(base / p_long),
-                intervals=intervals,
-            )
-            record.validate()
-            videos.append(record)
-    return Dataset(videos=videos, split=split).validate()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise ManifestError(
+                f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
+        vid, label_s, frames_s, *clip_paths, ivals = fields
+        if vid in ("", ".", "..") or set(vid) & set("/\\\0"):
+            raise ManifestError(f"{path}:{lineno}: video id {vid!r} "
+                                f"is not a file name")
+        try:
+            label, n_frames = int(label_s), int(frames_s)
+            if n_frames < 1:
+                raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+            if n_frames >= 2**31:  # its score curve would fill many GB
+                raise ValueError(f"n_frames must be < 2**31, got {n_frames}")
+            intervals = parse_intervals(ivals)
+            clips = tuple(read_feature_file(path.parent / p)
+                          for p in clip_paths)
+            videos.append(VideoRecord(vid, label, n_frames, clips,
+                                      intervals).validate())
+        except ValueError as e:
+            raise ManifestError(f"{path}:{lineno}: {e}") from None
+    try:
+        return Dataset(videos=videos, split=split).validate()
+    except ValueError as e:
+        raise ManifestError(f"{path}: {e}") from None
 
 
 def segment_to_snippets(clips: np.ndarray, t: int) -> np.ndarray:
@@ -179,17 +180,14 @@ def segment_to_snippets(clips: np.ndarray, t: int) -> np.ndarray:
     return np.add.reduceat(clips, lo, axis=0) / np.maximum(hi - lo, 1)[:, None]
 
 
-def snippet_tensors(videos: list[VideoRecord], t: int):
-    """The (N,T,D) snippet tensors of `videos` at the three timescales,
-    validated; entry i is video i."""
-    from .model import MultiScaleFeatures
-
-    def stack(scale):
-        return np.stack([segment_to_snippets(getattr(v, f"clips_{scale}"), t)
-                         for v in videos])
-
-    return MultiScaleFeatures(f_s=stack("short"), f_m=stack("medium"),
-                              f_l=stack("long")).validate()
+def snippet_tensors(videos: list[VideoRecord], t: int) -> np.ndarray:
+    """The (3,N,T,D) snippet tensor of `videos`: entry [s, i] is video i at
+    timescale s, in TUBELET_LENGTHS order."""
+    feats = np.array([[segment_to_snippets(clips, t) for clips in scale]
+                      for scale in zip(*(v.clips for v in videos))])
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("snippet features contain non-finite values")
+    return feats
 
 
 @dataclass(frozen=True)
@@ -230,24 +228,17 @@ def _synth_video(rng, cfg: SynthConfig, direction, video_id, label, with_interva
         start = int(rng.integers(0, n_frames - length + 1))
         z[start:start + length] = 1.0
         intervals = [(start, start + length)]
-    clips = {}
-    for scale, ell in TUBELET_LENGTHS.items():
+    clips = []
+    for ell in TUBELET_LENGTHS.values():
         n_clips = max(1, -(-n_frames // ell))
         feats = rng.standard_normal((n_clips, cfg.d)) * cfg.noise_scale
         for i in range(n_clips):
             seg = z[i * ell:min((i + 1) * ell, n_frames)]
             if seg.size:
                 feats[i] += cfg.boost * seg.mean() * direction
-        clips[scale] = feats.astype(np.float32).astype(np.float64)
-    return VideoRecord(
-        video_id=video_id,
-        label=label,
-        n_frames=n_frames,
-        clips_short=clips["short"],
-        clips_medium=clips["medium"],
-        clips_long=clips["long"],
-        intervals=intervals if (label == 1 and with_intervals) else [],
-    )
+        clips.append(feats.astype(np.float32).astype(np.float64))
+    return VideoRecord(video_id, label, n_frames, tuple(clips),
+                       intervals if (label == 1 and with_intervals) else [])
 
 
 def synth_generate(cfg: SynthConfig, seed: int, out_dir=None):
@@ -279,17 +270,12 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir=None):
         for split, dataset in splits.items():
             lines = []
             for v in dataset.videos:
-                paths = {}
-                for scale, clips in (("short", v.clips_short),
-                                     ("medium", v.clips_medium),
-                                     ("long", v.clips_long)):
-                    rel = f"features/{v.video_id}_{scale}.mtfb"
+                paths = [f"features/{v.video_id}_{scale}.mtfb"
+                         for scale in TUBELET_LENGTHS]
+                for rel, clips in zip(paths, v.clips):
                     write_feature_file(out_dir / rel, clips)
-                    paths[scale] = rel
                 lines.append(",".join([
-                    v.video_id, str(v.label), str(v.n_frames),
-                    paths["short"], paths["medium"], paths["long"],
-                    format_intervals(v.intervals),
-                ]))
+                    v.video_id, str(v.label), str(v.n_frames), *paths,
+                    format_intervals(v.intervals)]))
             (out_dir / f"{split}_manifest.csv").write_text("\n".join(lines) + "\n")
     return splits["train"], splits["test"]

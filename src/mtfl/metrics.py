@@ -11,7 +11,7 @@ from .dataio import VideoRecord
 
 
 class DegenerateLabelsError(ValueError):
-    """Raised when a metric needs both classes (or a positive) and gets none."""
+    """Raised when a metric needs both classes and gets one or none."""
 
 
 def expand_to_frames(scores: np.ndarray, n_frames: int) -> np.ndarray:
@@ -50,60 +50,27 @@ def _average_ranks(group: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return (last - (counts - 1) / 2.0)[group]
 
 
-def _auc_classes(labels: np.ndarray) -> tuple[np.ndarray, int, int]:
+def auc_and_ap(scores, labels) -> tuple[float, float]:
+    """Mann-Whitney ROC-AUC, with average ranks for ties, and
+    step-integrated AP, where equal scores form one threshold, from one
+    sort of the scores. Both need positive and negative labels."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    labels = np.asarray(labels).ravel()
     positive = labels == 1
-    n_pos = int(positive.sum())
-    n_neg = int((labels == 0).sum())
+    n_pos, n_neg = int(positive.sum()), int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             f"AUC needs both classes (got {n_pos} positive, {n_neg} negative)")
-    return positive, n_pos, n_neg
-
-
-def _auc(group, counts, positive, n_pos: int, n_neg: int) -> float:
-    r_pos = _average_ranks(group, counts)[positive].sum()
-    return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _ap(group, counts, positive, n_pos: int) -> float:
+    group, counts = _tie_groups(scores)
+    auc = ((_average_ranks(group, counts)[positive].sum()
+            - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
     # One threshold per distinct score, highest first: the ascending tie
     # groups in reverse.
     group_tp = np.bincount(group, weights=positive)[::-1]
     tp = np.cumsum(group_tp)
     seen = np.cumsum(counts[::-1])
     # A running total adds the steps in threshold order, as a sweep would.
-    return float(np.cumsum(group_tp / n_pos * (tp / seen))[-1])
-
-
-def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    return (np.asarray(scores, dtype=np.float64).ravel(),
-            np.asarray(labels).ravel())
-
-
-def roc_auc(scores, labels) -> float:
-    """Mann-Whitney AUC with average ranks for ties."""
-    scores, labels = _as_arrays(scores, labels)
-    positive, n_pos, n_neg = _auc_classes(labels)
-    return _auc(*_tie_groups(scores), positive, n_pos, n_neg)
-
-
-def average_precision(scores, labels) -> float:
-    """Step-integrated AP; equal scores are processed as one threshold group."""
-    scores, labels = _as_arrays(scores, labels)
-    positive = labels == 1
-    n_pos = int(positive.sum())
-    if n_pos == 0:
-        raise DegenerateLabelsError("AP needs at least one positive")
-    return _ap(*_tie_groups(scores), positive, n_pos)
-
-
-def _auc_and_ap(scores, labels) -> tuple[float, float]:
-    """`roc_auc` and `average_precision` from one sort of the scores."""
-    scores, labels = _as_arrays(scores, labels)
-    positive, n_pos, n_neg = _auc_classes(labels)
-    group, counts = _tie_groups(scores)
-    return (_auc(group, counts, positive, n_pos, n_neg),
-            _ap(group, counts, positive, n_pos))
+    return auc, float(np.cumsum(group_tp / n_pos * (tp / seen))[-1])
 
 
 @dataclass
@@ -137,10 +104,10 @@ def evaluate(videos: list[VideoRecord], frame_scores: dict[str, np.ndarray],
         if per_video:
             entry = {"n_frames": v.n_frames, "label": v.label}
             if 0 < gt.sum() < gt.size:
-                entry["auc"], entry["ap"] = _auc_and_ap(scores, gt)
+                entry["auc"], entry["ap"] = auc_and_ap(scores, gt)
             details[v.video_id] = entry
     pooled_labels = np.concatenate(all_labels)
-    auc, ap = _auc_and_ap(np.concatenate(all_scores), pooled_labels)
+    auc, ap = auc_and_ap(np.concatenate(all_scores), pooled_labels)
     return EvalReport(
         auc=auc,
         ap=ap,

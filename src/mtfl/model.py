@@ -53,25 +53,6 @@ class ModelConfig:
             raise ValueError(f"hidden must be two widths >= 1, got {self.hidden}")
 
 
-@dataclass
-class MultiScaleFeatures:
-    """Snippet features at three timescales: TxD for one video, or (N,T,D)
-    with one entry per video."""
-
-    f_s: np.ndarray
-    f_m: np.ndarray
-    f_l: np.ndarray
-
-    def validate(self):
-        shape = self.f_s.shape
-        for name, m in (("f_s", self.f_s), ("f_m", self.f_m), ("f_l", self.f_l)):
-            if m.shape != shape:
-                raise ValueError(f"{name} shape {m.shape} differs from {shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} contains non-finite values")
-        return self
-
-
 def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     """Shape of every learnable tensor under the given stage switches.
 
@@ -223,14 +204,14 @@ def classify(x: Node, leaves, config: ModelConfig, rng=None) -> Node:
     return dc.sigmoid(_project(h, leaves, "clf.fc3"))
 
 
-def forward(msf: MultiScaleFeatures, leaves: dict[str, Node],
+def forward(feats: np.ndarray, leaves: dict[str, Node],
             config: ModelConfig, rng=None) -> tuple[Tape, Node, Node]:
     """Assemble the full network on the tape that owns the parameter
     `leaves`; returns (tape, fused X, snippet scores).
 
-    `msf` holds TxD matrices for one video, or (B,T,D) tensors for a batch
-    of B videos that run as one forward; X and the scores then carry the
-    same leading axis. Classifier dropout runs if and only if `rng` is
+    `feats` holds the short, medium and long timescales along its first
+    axis: (3,T,D) for one video, or (3,B,T,D) for a batch of B videos that
+    run as one forward; X and the scores then carry the batch axis. Classifier dropout runs if and only if `rng` is
     given: one dropout generator per video (a sequence for a batch).
 
     Disabled stages are bypassed: PFL passes the scale matrices through;
@@ -241,7 +222,7 @@ def forward(msf: MultiScaleFeatures, leaves: dict[str, Node],
     the input scales.
     """
     tape = next(iter(leaves.values())).tape
-    f_s, f_m, f_l = map(tape.constant, (msf.f_s, msf.f_m, msf.f_l))
+    f_s, f_m, f_l = map(tape.constant, feats)
 
     f_lm, f_ms, f_sl = pfl_forward(f_l, f_m, f_s, leaves, config)
     u_local = ltl_forward(f_lm, f_ms, f_sl, leaves, config) if config.use_ltl else None

@@ -28,7 +28,7 @@ from .container import (ChecksumError, FormatError, Reader, frame,
                         open_container)
 from .dataio import Dataset, snippet_tensors
 from .diffcore import Node, Tape, backward
-from .model import ModelConfig, MultiScaleFeatures
+from .model import ModelConfig
 from .objective import LossBreakdown, LossWeights
 
 CKPT_MAGIC = b"MTFC"
@@ -126,38 +126,33 @@ def _video_rng(seed: int, step: int, video_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, step, video_index]))
 
 
-def batch_loss(params: dict[str, np.ndarray], msf: MultiScaleFeatures,
+def batch_loss(params: dict[str, np.ndarray], feats: np.ndarray,
                labels, model_cfg: ModelConfig, weights: LossWeights,
                rngs=None) -> tuple[Node, LossBreakdown]:
     """The objective over one batch, built on a single tape from one
-    forward over the (B,T,D) tensors of `msf`: the parameters become leaves
-    once. Dropout runs if and only if `rngs`, one dropout generator per
-    video, is given."""
+    forward over the (3,B,T,D) snippet tensor `feats`: the parameters
+    become leaves once. Dropout runs if and only if `rngs`, one dropout
+    generator per video, is given."""
     tape = Tape()
     leaves = {name: tape.leaf(value, name=name)
               for name, value in params.items()}
-    _, x, scores = model_mod.forward(msf, leaves, model_cfg, rng=rngs)
+    _, x, scores = model_mod.forward(feats, leaves, model_cfg, rng=rngs)
     return objective.total_loss(x, scores, labels, weights)
 
 
-def batch_gradients(feats: MultiScaleFeatures, labels: np.ndarray,
+def batch_gradients(feats: np.ndarray, labels: np.ndarray,
                     indices: list[int], params: dict[str, np.ndarray],
-                    cfg: TrainConfig, step: int, mode: str = "train"):
-    """Loss gradients for the batch `indices` of a dataset whose (N,T,D)
-    snippet tensors are `feats` and labels `labels`, from a single reverse
-    sweep. `mode` "train" gives each batch slot its own dropout generator,
-    drawn from (seed, step, slot); "eval" runs without dropout.
+                    cfg: TrainConfig, step: int):
+    """Loss gradients for the batch `indices` of a dataset whose (3,N,T,D)
+    snippet tensor is `feats` and labels `labels`, from a single reverse
+    sweep. Each batch slot has its own dropout generator, drawn from
+    (seed, step, slot).
 
     Returns (grads, LossBreakdown).
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be train or eval, got {mode!r}")
-    batch = MultiScaleFeatures(f_s=feats.f_s[indices], f_m=feats.f_m[indices],
-                               f_l=feats.f_l[indices])
-    rngs = ([_video_rng(cfg.seed, step, slot) for slot in range(len(indices))]
-            if mode == "train" else None)
-    total, breakdown = batch_loss(params, batch, labels[indices], cfg.model,
-                                  cfg.loss, rngs)
+    rngs = [_video_rng(cfg.seed, step, slot) for slot in range(len(indices))]
+    total, breakdown = batch_loss(params, feats[:, indices], labels[indices],
+                                  cfg.model, cfg.loss, rngs)
     return backward(total), breakdown
 
 
@@ -192,7 +187,7 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
                 normal, abnormal = sample_batch(dataset, rng, cfg.batch_half)
                 indices = normal + abnormal
                 grads, breakdown = batch_gradients(
-                    feats, labels, indices, params, cfg, step, mode="train")
+                    feats, labels, indices, params, cfg, step)
                 if not np.isfinite(breakdown.total):
                     raise RuntimeError(
                         f"non-finite loss {breakdown.total} at step {step}")
@@ -226,8 +221,8 @@ def score_videos(records, params, cfg_model: ModelConfig, batch: int):
         tape = Tape()
         leaves = {name: tape.leaf(value, name=name)
                   for name, value in params.items()}
-        msf = snippet_tensors(records[i:i + batch], cfg_model.t)
-        yield from model_mod.forward(msf, leaves, cfg_model)[2].value[..., 0]
+        feats = snippet_tensors(records[i:i + batch], cfg_model.t)
+        yield from model_mod.forward(feats, leaves, cfg_model)[2].value[..., 0]
 
 
 def _pack_tensor_table(tensors: dict[str, np.ndarray]) -> bytes:

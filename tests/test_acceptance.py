@@ -13,8 +13,8 @@ import pytest
 from mtfl import container, dataio, metrics, model, trainer
 from mtfl.cli import gradcheck_full_model, run
 from mtfl.dataio import SynthConfig, synth_generate
-from mtfl.metrics import average_precision, roc_auc
-from mtfl.model import ModelConfig, MultiScaleFeatures
+from mtfl.metrics import auc_and_ap
+from mtfl.model import ModelConfig
 from mtfl.objective import LossWeights
 from mtfl.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -74,10 +74,9 @@ def test_criterion_2_metric_oracles():
         labels = rng.integers(0, 2, size=n)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        worst_auc = max(worst_auc, abs(roc_auc(scores, labels)
-                                       - brute_force_auc(scores, labels)))
-        worst_ap = max(worst_ap, abs(average_precision(scores, labels)
-                                     - brute_force_ap(scores, labels)))
+        auc, ap = auc_and_ap(scores, labels)
+        worst_auc = max(worst_auc, abs(auc - brute_force_auc(scores, labels)))
+        worst_ap = max(worst_ap, abs(ap - brute_force_ap(scores, labels)))
     report(2, worst_auc <= 1e-12 and worst_ap <= 1e-12,
            f"worst |ΔAUC|={worst_auc:.1e}, worst |ΔAP|={worst_ap:.1e}")
 
@@ -161,14 +160,12 @@ def test_criterion_6_shape_and_attention_invariants(monkeypatch):
         heads = int(rng.choice([h for h in (1, 2, 4) if (d // 2) % h == 0]))
         cfg = ModelConfig(d=d, t=t, heads=heads, hidden=(6, 4))
         params = model.init_params(cfg, int(rng.integers(0, 2**31)))
-        msf = MultiScaleFeatures(
-            f_s=rng.standard_normal((t, d)), f_m=rng.standard_normal((t, d)),
-            f_l=rng.standard_normal((t, d)))
+        feats = rng.standard_normal((3, t, d))  # short, medium, long
         from mtfl.diffcore import Tape
         tape = Tape()
         leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
         attention.clear()
-        _, x, scores = model.forward(msf, leaves, cfg)
+        _, x, scores = model.forward(feats, leaves, cfg)
         assert x.value.shape == (t, d)
         assert scores.value.shape == (t, 1)
         assert np.all((scores.value > 0) & (scores.value < 1))
@@ -177,7 +174,7 @@ def test_criterion_6_shape_and_attention_invariants(monkeypatch):
         for a in attention:
             assert np.allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
         # internal stage shapes per the fusion design
-        f_s, f_m, f_l = (tape.constant(m) for m in (msf.f_s, msf.f_m, msf.f_l))
+        f_s, f_m, f_l = map(tape.constant, feats)
         f_lm, f_ms, f_sl = model.pfl_forward(f_l, f_m, f_s, leaves, cfg)
         assert f_lm.value.shape == f_ms.value.shape == f_sl.value.shape == (t, d)
         assert model.ltl_forward(f_lm, f_ms, f_sl, leaves, cfg).value.shape \

@@ -184,6 +184,25 @@ class TestGradcheckCommand:
         assert_one_line_error(err)
         assert "seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tol_outside_range_is_validation_error(self, capsys, tol):
+        """An infinite tolerance would pass any gradient, a negative one
+        none."""
+        code, out, err = run_capture(capsys, ["gradcheck", "--tol", tol])
+        assert (code, out) == (1, "")
+        assert_one_line_error(err)
+        assert f"tol must be finite and >= 0, got {float(tol)}" in err
+
+    def test_infinite_tol_from_config_is_validation_error(self, tmp_path,
+                                                          capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"tol": 1e999}')  # JSON reads it as inf
+        code, out, err = run_capture(capsys, ["gradcheck", "--config",
+                                              str(config)])
+        assert (code, out) == (1, "")
+        assert_one_line_error(err)
+        assert "tol must be finite and >= 0, got inf" in err
+
 
 class TestSynthCommand:
     def test_writes_manifests_and_features(self, tmp_path):
@@ -295,9 +314,99 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+def edit_manifest_line(manifest, line, field, value):
+    """Set 0-based `field` of 1-based manifest line `line` to `value`;
+    returns the line's video id."""
+    lines = manifest.read_text().splitlines(True)
+    fields = lines[line - 1].rstrip("\n").split(",")
+    fields[field] = value
+    lines[line - 1] = ",".join(fields) + "\n"
+    manifest.write_text("".join(lines))
+    return fields[0]
+
+
+class TestManifestRecordRules:
+    """A manifest line whose video breaks a rule is a validation error
+    that names the manifest, the line and the video."""
+
+    @pytest.mark.parametrize("line,field,value,message", [
+        (1, 1, "2", "label must be 0 or 1"),
+        (2, 6, "0:99999", "interval [0,99999) outside"),
+        (2, 6, "0:20;10:30", "overlapping intervals"),
+        (1, 6, "0:10", "normal video with anomaly intervals"),
+        (1, 5, "narrow.mtfb", "long-scale D=6 differs from short-scale D=8"),
+        (1, 4, "empty.mtfb", "medium-scale feature file has no rows"),
+    ], ids=["label", "outside", "overlap", "normal", "scale-d", "no-rows"])
+    def test_rule_names_manifest_line_and_video(self, tmp_path, capsys,
+                                                line, field, value, message):
+        data = small_synth(tmp_path)
+        write_feature_file(data / "narrow.mtfb", np.zeros((4, 6)))
+        write_feature_file(data / "empty.mtfb", np.zeros((0, 8)))
+        manifest = data / "test_manifest.csv"
+        vid = edit_manifest_line(manifest, line, field, value)
+        code, _, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(tmp_path / "scores"),
+            "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"error: {manifest}:{line}: {vid}: {message}" in err
+
+    def test_feature_file_without_rows_rejected_before_training(
+            self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        write_feature_file(data / "empty.mtfb", np.zeros((0, 8)))
+        manifest = data / "train_manifest.csv"
+        vid = edit_manifest_line(manifest, 3, 3, "empty.mtfb")
+        out = tmp_path / "run"
+        code, _, err = run_capture(capsys, [
+            "train", "--manifest", str(manifest), "--out-dir", str(out),
+            "--seed", "1", "--epochs", "1", "--batch-half", "2", "--t", "8",
+            "--heads", "2"])
+        assert code == 1
+        assert_one_line_error(err)
+        assert (f"{manifest}:3: {vid}: short-scale feature file has no rows"
+                in err)
+        assert not out.exists()
+
+    def test_manifest_not_utf8_names_file(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        manifest = data / "test_manifest.csv"
+        manifest.write_bytes(manifest.read_bytes().replace(b"_", b"\xab", 1))
+        code, _, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(tmp_path / "scores"),
+            "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"error: {manifest}: not UTF-8" in err
+
+    def test_duplicate_ids_name_manifest(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        manifest = data / "test_manifest.csv"
+        first = manifest.read_text().splitlines(True)[0]
+        manifest.write_text(first + first)
+        code, _, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(tmp_path / "scores"),
+            "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"error: {manifest}: duplicate video ids" in err
+
+    def test_n_frames_beyond_range_is_validation_error(self, tmp_path,
+                                                        capsys):
+        data = small_synth(tmp_path)
+        manifest = data / "test_manifest.csv"
+        edit_manifest_line(manifest, 1, 2, str(2**31))
+        code, _, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(tmp_path / "scores"),
+            "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"{manifest}:1: n_frames must be < 2**31, got {2**31}" in err
+
+
 class TestManifestVideoIds:
     @pytest.mark.parametrize("vid", ["", ".", "..", "../escaped", "a/b",
-                                     "a\\b", "..\\escaped"])
+                                     "a\\b", "..\\escaped", "a\x00b"])
     def test_id_that_is_not_a_file_name_is_validation_error(
             self, tmp_path, capsys, vid):
         data = small_synth(tmp_path)
@@ -350,6 +459,29 @@ class TestScoreEvalCommands:
         assert (code, err) == (0, "")
         assert text == f"wrote 0 score curves to {scores}\n"
         assert list(scores.iterdir()) == []
+
+    def test_eval_of_manifest_without_videos_says_so(self, tmp_path,
+                                                     capsys):
+        manifest = tmp_path / "empty_manifest.csv"
+        manifest.write_text("\n")
+        code, out, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(tmp_path / "scores"),
+            "--manifest", str(manifest)])
+        assert (code, out) == (1, "")
+        assert_one_line_error(err)
+        assert f"error: {manifest}: no videos to evaluate" in err
+
+    def test_eval_of_one_class_frames_names_manifest(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        manifest = data / "test_manifest.csv"
+        manifest.write_text(manifest.read_text().splitlines(True)[0])
+        write_curves(tmp_path / "scores", manifest)
+        code, _, err = run_capture(capsys, [
+            "eval", "--scores-dir", str(tmp_path / "scores"),
+            "--manifest", str(manifest)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"error: {manifest}: AUC needs both classes" in err
 
     def test_feature_dimension_mismatch_is_validation_error(self, tmp_path,
                                                              capsys):

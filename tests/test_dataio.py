@@ -220,7 +220,7 @@ class TestSynthGenerate:
         for a, b in zip(a_train.videos + a_test.videos,
                         b_train.videos + b_test.videos):
             assert a.video_id == b.video_id
-            assert np.array_equal(a.clips_short, b.clips_short)
+            assert all(map(np.array_equal, a.clips, b.clips))
             assert a.intervals == b.intervals
 
     def test_written_files_deterministic(self, tmp_path):
@@ -245,7 +245,7 @@ class TestSynthGenerate:
         u /= np.linalg.norm(u)
 
         normal_proj = np.concatenate([
-            v.clips_short @ u for v in train.videos if v.label == 0])
+            v.clips[0] @ u for v in train.videos if v.label == 0])
         assert abs(normal_proj.mean()) < 3 * cfg.noise_scale / np.sqrt(
             normal_proj.size)
 
@@ -255,9 +255,9 @@ class TestSynthGenerate:
             if v.label != 1:
                 continue
             (start, end), ell = v.intervals[0], 8
-            for i in range(v.clips_short.shape[0]):
+            for i in range(v.clips[0].shape[0]):
                 if start <= i * ell and (i + 1) * ell <= min(end, v.n_frames):
-                    inside.append(v.clips_short[i] @ u)
+                    inside.append(v.clips[0][i] @ u)
         inside = np.array(inside)
         assert inside.size > 0
         se = cfg.noise_scale / np.sqrt(inside.size)

@@ -1,10 +1,11 @@
-"""Fuzz tests: mutated score curves, checkpoints and checkpoint headers
-must end in the documented errors, never in a traceback, a warning or an
-exception of another type."""
+"""Fuzz tests: mutated score curves, manifests, feature files,
+checkpoints and checkpoint headers must end in the documented errors,
+never in a traceback, a warning or an exception of another type."""
 
 import contextlib
 import io
 import json
+import shutil
 import struct
 import warnings
 from dataclasses import fields, is_dataclass
@@ -116,6 +117,95 @@ def test_fast_curve_parse_agrees_with_line_rule(curves, ops):
     else:
         assert np.array_equal(fast, lines, equal_nan=True)
         assert np.array_equal(np.signbit(fast), np.signbit(lines))
+
+
+# What the manifest fuzz inserts: field and interval separators, line
+# breaks, and values that parse as numbers but break a rule.
+MANIFEST_TOKENS = [b",", b":", b";", b"\n", b"-1", b"..", b"nan",
+                   str(2**31).encode(), str(2**64).encode(),
+                   str(10**30).encode(), b"9" * 5000]
+
+
+@pytest.fixture(scope="module")
+def manifest_run(tmp_path_factory):
+    """A small synthetic set and a checkpoint trained on it; the fuzz
+    writes each mutated test manifest next to the original."""
+    root = tmp_path_factory.mktemp("fuzz_manifest")
+    data = root / "data"
+    assert run(["synth", "--out-dir", str(data), "--normal", "4",
+                "--abnormal", "4", "--d", "8", "--seed", "3"]) == 0
+    assert run(["train", "--manifest", str(data / "train_manifest.csv"),
+                "--out-dir", str(root / "run"), "--epochs", "1",
+                "--batch-half", "2", "--seed", "1", "--t", "8",
+                "--heads", "2"]) == 0
+    clean = (data / "test_manifest.csv").read_bytes()
+    return root, data / "mutated_manifest.csv", clean
+
+
+def run_quietly(argv):
+    """`mtfl` in-process: exit code, stderr, and any warning raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@FUZZ
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("truncate"), position),
+    st.tuples(st.just("flip"), position, st.integers(1, 255)),
+    st.tuples(st.just("bytes"), position, st.sampled_from(MANIFEST_TOKENS)),
+), min_size=1, max_size=4))
+def test_mutated_manifest_gives_exit_code_and_one_line(manifest_run, ops):
+    """`score`, then `eval` of its curves, on a mutated test manifest: each
+    exits 0, 1 or 2 with exactly one error line, and a validation error
+    names the manifest."""
+    root, manifest, clean = manifest_run
+    manifest.write_bytes(apply(clean, ops))
+    scores = root / "scores"
+    shutil.rmtree(scores, ignore_errors=True)
+    for argv in (["score", "--checkpoint", str(root / "run" / "final.mtfc"),
+                  "--out-dir", str(scores)],
+                 ["eval", "--scores-dir", str(scores)]):
+        code, err, caught = run_quietly([*argv, "--manifest", str(manifest)])
+        assert code in (0, 1, 2)
+        assert caught == []
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if code == 1:
+            assert str(manifest) in err, err
+
+
+@pytest.fixture(scope="module")
+def feature_file(manifest_run):
+    root, _, _ = manifest_run
+    path = root / "data" / "features" / "test_abnormal_0000_long.mtfb"
+    return root / "mutated.mtfb", path.read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_feature_file_raises_only_format_error(feature_file, data):
+    path, raw = feature_file
+    anywhere = st.integers(0, len(raw) - 1)
+    header = st.integers(0, 15)  # magic, version, N and D
+    ops = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("flip"), st.one_of(anywhere, header),
+                  st.integers(1, 255)),
+        st.tuples(st.just("truncate"), anywhere),
+        st.tuples(st.just("bytes"), anywhere,
+                  st.binary(min_size=1, max_size=8)),
+    ), min_size=1, max_size=3))
+    path.write_bytes(apply(raw, ops))
+    try:
+        dataio.read_feature_file(path)
+    except FormatError as e:
+        assert str(path) in str(e)
 
 
 def structure_offsets(raw: bytes) -> list[int]:

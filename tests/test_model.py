@@ -7,18 +7,15 @@ from dataclasses import replace
 from mtfl import diffcore as dc
 from mtfl import model
 from mtfl.diffcore import Tape, backward
-from mtfl.model import ModelConfig, MultiScaleFeatures
+from mtfl.model import ModelConfig
 
 TINY = ModelConfig(d=8, t=8, heads=2, hidden=(6, 4), dropout=0.0)
 
 
-def random_msf(cfg, seed=0, scale=1.0):
+def random_feats(cfg, seed=0, scale=1.0):
+    """A (3,T,D) snippet tensor: short, medium, long."""
     rng = np.random.default_rng(seed)
-    return MultiScaleFeatures(
-        f_s=rng.standard_normal((cfg.t, cfg.d)) * scale,
-        f_m=rng.standard_normal((cfg.t, cfg.d)) * scale,
-        f_l=rng.standard_normal((cfg.t, cfg.d)) * scale,
-    )
+    return rng.standard_normal((3, cfg.t, cfg.d)) * scale
 
 
 class TestConfig:
@@ -91,10 +88,10 @@ def record_attention(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
-def forward_with_leaves(cfg, params, msf, rng=None):
+def forward_with_leaves(cfg, params, feats, rng=None):
     tape = Tape()
     leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
-    _, x, scores = model.forward(msf, leaves, cfg, rng=rng)
+    _, x, scores = model.forward(feats, leaves, cfg, rng=rng)
     return tape, leaves, x, scores
 
 
@@ -156,16 +153,16 @@ class TestStages:
     def test_pfl_output_shapes(self):
         params = model.init_params(TINY, 0)
         tape, leaves, x, scores = forward_with_leaves(TINY, params,
-                                                      random_msf(TINY))
+                                                      random_feats(TINY))
         assert x.value.shape == (TINY.t, TINY.d)
 
     def test_pfl_bypass_passes_scales_through(self):
         cfg = replace(TINY, use_pfl=False, use_ltl=False, use_gtl=False,
                       use_ff=False)
         params = model.init_params(cfg, 0)
-        msf = random_msf(cfg, 1)
-        tape, leaves, x, _ = forward_with_leaves(cfg, params, msf)
-        expected = (msf.f_l + msf.f_m + msf.f_s) / 3.0
+        feats = random_feats(cfg, 1)
+        tape, leaves, x, _ = forward_with_leaves(cfg, params, feats)
+        expected = (feats[2] + feats[1] + feats[0]) / 3.0
         assert np.allclose(x.value, expected, atol=1e-14)
 
     def test_pfl_zero_inputs_give_bias_rows(self):
@@ -222,19 +219,18 @@ class TestStages:
 
     def test_gtl_output_shape_and_equivariance(self):
         params = model.init_params(TINY, 0)
-        msf = random_msf(TINY, 2)
+        feats = random_feats(TINY, 2)
         perm = np.random.default_rng(0).permutation(TINY.t)
 
         def run(m):
             tape = Tape()
             leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
-            return model.gtl_forward(tape.constant(m.f_l), tape.constant(m.f_m),
-                                     tape.constant(m.f_s), leaves, TINY).value
+            f_s, f_m, f_l = map(tape.constant, m)
+            return model.gtl_forward(f_l, f_m, f_s, leaves, TINY).value
 
-        base = run(msf)
+        base = run(feats)
         assert base.shape == (TINY.t, TINY.d // 2)
-        permuted = run(MultiScaleFeatures(f_s=msf.f_s[perm], f_m=msf.f_m[perm],
-                                          f_l=msf.f_l[perm]))
+        permuted = run(feats[:, perm])
         assert np.allclose(base[perm], permuted, atol=1e-12)
 
     def test_gtl_constant_input_gives_equal_rows(self):
@@ -250,9 +246,9 @@ class TestStages:
         params["ff.proj_w"] = np.zeros((TINY.d, TINY.d))
         params["ff.proj_b"] = np.zeros((1, TINY.d))
         # zero the classifier so X is inspectable regardless
-        msf = random_msf(TINY, 3)
-        tape, leaves, x, _ = forward_with_leaves(TINY, params, msf)
-        residual = (msf.f_l + msf.f_m + msf.f_s) / 3.0
+        feats = random_feats(TINY, 3)
+        tape, leaves, x, _ = forward_with_leaves(TINY, params, feats)
+        residual = (feats[2] + feats[1] + feats[0]) / 3.0
         # with random upstream params only the projection is zeroed; X is
         # exactly the residual
         assert np.allclose(x.value, residual, atol=1e-12)
@@ -262,7 +258,7 @@ class TestStages:
         params = model.init_params(cfg, 0)
         assert "ff.proj_w" not in params
         tape, leaves, x, scores = forward_with_leaves(cfg, params,
-                                                      random_msf(cfg, 4))
+                                                      random_feats(cfg, 4))
         assert x.value.shape == (cfg.t, cfg.d)
         assert scores.value.shape == (cfg.t, 1)
 
@@ -272,33 +268,33 @@ class TestClassify:
         params = {n: np.zeros_like(p) for n, p in
                   model.init_params(TINY, 0).items()}
         tape, leaves, _, scores = forward_with_leaves(TINY, params,
-                                                      random_msf(TINY))
+                                                      random_feats(TINY))
         assert np.allclose(scores.value, 0.5)
 
     def test_eval_mode_deterministic(self):
         params = model.init_params(TINY, 2)
-        msf = random_msf(TINY, 5)
-        _, _, _, s1 = forward_with_leaves(TINY, params, msf)
-        _, _, _, s2 = forward_with_leaves(TINY, params, msf)
+        feats = random_feats(TINY, 5)
+        _, _, _, s1 = forward_with_leaves(TINY, params, feats)
+        _, _, _, s2 = forward_with_leaves(TINY, params, feats)
         assert np.array_equal(s1.value, s2.value)
 
     def test_final_bias_monotonicity(self):
         params = model.init_params(TINY, 2)
-        msf = random_msf(TINY, 5)
-        _, _, _, low = forward_with_leaves(TINY, params, msf)
+        feats = random_feats(TINY, 5)
+        _, _, _, low = forward_with_leaves(TINY, params, feats)
         bumped = dict(params)
         bumped["clf.fc3_b"] = params["clf.fc3_b"] + 1.0
-        _, _, _, high = forward_with_leaves(TINY, bumped, msf)
+        _, _, _, high = forward_with_leaves(TINY, bumped, feats)
         assert np.all(high.value > low.value)
 
     def test_train_dropout_deterministic_given_rng(self):
         cfg = replace(TINY, dropout=0.5)
         params = model.init_params(cfg, 0)
-        msf = random_msf(cfg, 6)
+        feats = random_feats(cfg, 6)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(11)
-            _, _, _, s = forward_with_leaves(cfg, params, msf, rng=rng)
+            _, _, _, s = forward_with_leaves(cfg, params, feats, rng=rng)
             runs.append(s.value)
         assert np.array_equal(runs[0], runs[1])
 
@@ -307,7 +303,7 @@ class TestForward:
     def test_shapes_and_score_range(self):
         params = model.init_params(TINY, 0)
         _, _, x, scores = forward_with_leaves(TINY, params,
-                                              random_msf(TINY, 7))
+                                              random_feats(TINY, 7))
         assert x.value.shape == (TINY.t, TINY.d)
         assert scores.value.shape == (TINY.t, 1)
         assert np.all((scores.value > 0) & (scores.value < 1))
@@ -315,7 +311,7 @@ class TestForward:
     def test_attention_rows_sum_to_one(self, monkeypatch):
         attention = record_attention(monkeypatch)
         forward_with_leaves(TINY, model.init_params(TINY, 8),
-                            random_msf(TINY, 8))
+                            random_feats(TINY, 8))
         # PFL lm, ms, sl, then GTL: one (heads, T, T) matrix each
         shape = (TINY.heads, TINY.t, TINY.t)
         assert [a.shape for a in attention] == [shape] * 4
@@ -325,18 +321,17 @@ class TestForward:
     def test_full_forward_not_permutation_equivariant(self):
         # the conv gates are temporal, so permuting snippets changes output
         params = model.init_params(TINY, 9)
-        msf = random_msf(TINY, 9)
+        feats = random_feats(TINY, 9)
         perm = np.roll(np.arange(TINY.t), 3)
-        _, _, x1, _ = forward_with_leaves(TINY, params, msf)
-        permuted = MultiScaleFeatures(f_s=msf.f_s[perm], f_m=msf.f_m[perm],
-                                      f_l=msf.f_l[perm])
+        _, _, x1, _ = forward_with_leaves(TINY, params, feats)
+        permuted = feats[:, perm]
         _, _, x2, _ = forward_with_leaves(TINY, params, permuted)
         assert not np.allclose(x1.value[perm], x2.value, atol=1e-8)
 
     def test_gradient_flows_to_every_parameter(self):
         params = model.init_params(TINY, 10)
         tape, leaves, x, scores = forward_with_leaves(TINY, params,
-                                                      random_msf(TINY, 10))
+                                                      random_feats(TINY, 10))
         loss = dc.reduce(dc.add(dc.reduce(dc.hadamard(x, x), mode="sum"),
                                 dc.reduce(scores, mode="sum")), mode="sum")
         grads = backward(loss)
@@ -350,15 +345,14 @@ class TestBatchedForward:
         [True, False], repeat=4)), ids=lambda s: "".join("1" if on else "0"
                                                          for on in s))
     def test_batch_matches_each_video_alone(self, switches, mode):
-        """One (B,T,D) forward gives every video the X and scores of its own
+        """One (3,B,T,D) forward gives every video the X and scores of its own
         B-less forward, including its own dropout masks in train mode."""
         cfg = replace(TINY, dropout=0.5, **dict(zip(
             ("use_pfl", "use_ltl", "use_gtl", "use_ff"), switches)))
         params = model.init_params(cfg, 1)
         rng = np.random.default_rng(2)
         b = 3
-        batch = MultiScaleFeatures(*(rng.standard_normal((b, cfg.t, cfg.d))
-                                     for _ in range(3)))
+        batch = rng.standard_normal((3, b, cfg.t, cfg.d))
 
         def dropout_rng(slot):
             return (np.random.default_rng([7, slot]) if mode == "train"
@@ -370,8 +364,7 @@ class TestBatchedForward:
         assert xb.value.shape == (b, cfg.t, cfg.d)
         assert sb.value.shape == (b, cfg.t, 1)
         for i in range(b):
-            one = MultiScaleFeatures(batch.f_s[i], batch.f_m[i], batch.f_l[i])
-            _, _, x1, s1 = forward_with_leaves(cfg, params, one,
+            _, _, x1, s1 = forward_with_leaves(cfg, params, batch[:, i],
                                                dropout_rng(i))
             assert np.allclose(xb.value[i], x1.value, rtol=1e-12, atol=1e-15)
             assert np.allclose(sb.value[i], s1.value, rtol=1e-12, atol=1e-15)
@@ -379,8 +372,7 @@ class TestBatchedForward:
     def test_one_dropout_generator_per_video(self):
         cfg = replace(TINY, dropout=0.5)
         params = model.init_params(cfg, 0)
-        batch = MultiScaleFeatures(*(np.ones((3, cfg.t, cfg.d))
-                                     for _ in range(3)))
+        batch = np.ones((3, 3, cfg.t, cfg.d))
         with pytest.raises(ValueError, match="generators"):
             forward_with_leaves(cfg, params, batch,
                                 [np.random.default_rng(0)] * 2)

@@ -481,8 +481,8 @@ def score_alone(record, params, cfg_model):
     tape = Tape()
     leaves = {name: tape.leaf(value, name=name)
               for name, value in params.items()}
-    msf = dataio.snippet_tensors([record], cfg_model.t)
-    return model_mod.forward(msf, leaves, cfg_model)[2].value.ravel()
+    feats = dataio.snippet_tensors([record], cfg_model.t)
+    return model_mod.forward(feats, leaves, cfg_model)[2].value.ravel()
 
 
 class TestScoreVideos:
@@ -541,7 +541,6 @@ class TestGradientStaging:
         from mtfl import objective
         from mtfl.dataio import snippet_tensors
         from mtfl.diffcore import Tape, backward
-        from mtfl.model import MultiScaleFeatures
 
         ds, _ = tiny_dataset()
         cfg = tiny_train_config()
@@ -553,10 +552,18 @@ class TestGradientStaging:
         labels = all_labels[indices]
         assert sorted(labels) == [0, 0, 1, 1]
 
+        def eval_gradients():
+            total, _ = trainer.batch_loss(params, feats[:, indices], labels,
+                                          cfg.model, cfg.loss)
+            return backward(total)
+
         for mode, step in (("eval", 0), ("train", 6)):
-            staged, _ = trainer.batch_gradients(feats, all_labels, indices,
-                                                params, cfg, step=step,
-                                                mode=mode)
+            if mode == "train":
+                staged, _ = trainer.batch_gradients(feats, all_labels,
+                                                    indices, params, cfg,
+                                                    step=step)
+            else:
+                staged = eval_gradients()
             tape = Tape()
             leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
             xs, ss = [], []
@@ -564,9 +571,7 @@ class TestGradientStaging:
                 rng = (np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, step, slot]))
                     if mode == "train" else None)
-                one = MultiScaleFeatures(feats.f_s[i], feats.f_m[i],
-                                         feats.f_l[i])
-                _, x, s = M.forward(one, leaves, cfg.model, rng=rng)
+                _, x, s = M.forward(feats[:, i], leaves, cfg.model, rng=rng)
                 xs.append(x)
                 ss.append(s)
             total, _ = objective.total_loss(stack_videos(xs), stack_videos(ss),
@@ -577,25 +582,22 @@ class TestGradientStaging:
                 assert np.allclose(staged[k], mono[k], rtol=1e-12,
                                    atol=1e-15), (mode, k)
         # dropout is live: the train-mode gradients differ from eval mode
-        eval_grads, _ = trainer.batch_gradients(feats, all_labels, indices,
-                                                params, cfg, step=6,
-                                                mode="eval")
-        assert not np.allclose(staged["clf.fc1_w"], eval_grads["clf.fc1_w"])
+        assert not np.allclose(staged["clf.fc1_w"],
+                               eval_gradients()["clf.fc1_w"])
 
     def test_tape_length_does_not_depend_on_batch_size(self):
         from mtfl import model as M
-        from mtfl.model import MultiScaleFeatures
 
         cfg = tiny_train_config()
         params = M.init_params(cfg.model, 0)
         rng = np.random.default_rng(0)
         lengths = []
         for half in (2, 8):
-            msf = MultiScaleFeatures(*(rng.standard_normal(
-                (2 * half, cfg.model.t, cfg.model.d)) for _ in range(3)))
+            feats = rng.standard_normal((3, 2 * half, cfg.model.t,
+                                         cfg.model.d))
             labels = [0] * half + [1] * half
             rngs = [np.random.default_rng(i) for i in range(2 * half)]
-            total, _ = trainer.batch_loss(params, msf, labels, cfg.model,
+            total, _ = trainer.batch_loss(params, feats, labels, cfg.model,
                                           cfg.loss, rngs)
             lengths.append(len(total.tape.nodes))
         assert lengths[0] == lengths[1]
