@@ -38,7 +38,14 @@ class VideoRecord:
     clips: tuple[np.ndarray, ...]  # (N_scale, D) each, TUBELET_LENGTHS order
     intervals: list[tuple[int, int]] = field(default_factory=list)
 
-    def validate(self):
+    def __post_init__(self):
+        if (self.video_id in ("", ".", "..")
+                or set(self.video_id) & set("/\\\0")):
+            raise ValueError(f"video id {self.video_id!r} is not a file name")
+        if self.n_frames < 1:
+            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        if self.n_frames >= 2**31:  # its score curve would fill many GB
+            raise ValueError(f"n_frames must be < 2**31, got {self.n_frames}")
         if self.label not in (0, 1):
             raise ValueError(f"{self.video_id}: label must be 0 or 1")
         for scale, clips in zip(TUBELET_LENGTHS, self.clips, strict=True):
@@ -60,7 +67,6 @@ class VideoRecord:
             prev_end = end
         if self.label == 0 and self.intervals:
             raise ValueError(f"{self.video_id}: normal video with anomaly intervals")
-        return self
 
     @property
     def dim(self) -> int:
@@ -72,7 +78,7 @@ class Dataset:
     videos: list[VideoRecord]
     split: str = "train"
 
-    def validate(self):
+    def __post_init__(self):
         ids = [v.video_id for v in self.videos]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate video ids in dataset")
@@ -83,7 +89,6 @@ class Dataset:
             labels = {v.label for v in self.videos}
             if labels != {0, 1}:
                 raise ValueError("train split needs at least one video of each class")
-        return self
 
 
 def write_feature_file(path, matrix: np.ndarray):
@@ -141,25 +146,16 @@ def read_manifest(path, split: str = "train") -> Dataset:
         if len(fields) != 7:
             raise ManifestError(
                 f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
-        vid, label_s, frames_s, *clip_paths, ivals = fields
-        if vid in ("", ".", "..") or set(vid) & set("/\\\0"):
-            raise ManifestError(f"{path}:{lineno}: video id {vid!r} "
-                                f"is not a file name")
+        vid, label, n_frames, *clip_paths, ivals = fields
         try:
-            label, n_frames = int(label_s), int(frames_s)
-            if n_frames < 1:
-                raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-            if n_frames >= 2**31:  # its score curve would fill many GB
-                raise ValueError(f"n_frames must be < 2**31, got {n_frames}")
-            intervals = parse_intervals(ivals)
             clips = tuple(read_feature_file(path.parent / p)
                           for p in clip_paths)
-            videos.append(VideoRecord(vid, label, n_frames, clips,
-                                      intervals).validate())
+            videos.append(VideoRecord(vid, int(label), int(n_frames), clips,
+                                      parse_intervals(ivals)))
         except ValueError as e:
             raise ManifestError(f"{path}:{lineno}: {e}") from None
     try:
-        return Dataset(videos=videos, split=split).validate()
+        return Dataset(videos=videos, split=split)
     except ValueError as e:
         raise ManifestError(f"{path}: {e}") from None
 
@@ -230,12 +226,11 @@ def _synth_video(rng, cfg: SynthConfig, direction, video_id, label, with_interva
         intervals = [(start, start + length)]
     clips = []
     for ell in TUBELET_LENGTHS.values():
-        n_clips = max(1, -(-n_frames // ell))
-        feats = rng.standard_normal((n_clips, cfg.d)) * cfg.noise_scale
-        for i in range(n_clips):
-            seg = z[i * ell:min((i + 1) * ell, n_frames)]
-            if seg.size:
-                feats[i] += cfg.boost * seg.mean() * direction
+        # Each clip's anomaly share: an exact 0/1 count over its length.
+        starts = np.arange(0, n_frames, ell)
+        share = np.add.reduceat(z, starts) / np.diff(starts, append=n_frames)
+        feats = rng.standard_normal((starts.size, cfg.d)) * cfg.noise_scale
+        feats += (cfg.boost * share)[:, None] * direction
         clips.append(feats.astype(np.float32).astype(np.float64))
     return VideoRecord(video_id, label, n_frames, tuple(clips),
                        intervals if (label == 1 and with_intervals) else [])
@@ -262,7 +257,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir=None):
         for i in range(n_abn):
             videos.append(_synth_video(rng, cfg, direction,
                                        f"{split}_abnormal_{i:04d}", 1, with_iv))
-        splits[split] = Dataset(videos=videos, split=split).validate()
+        splits[split] = Dataset(videos=videos, split=split)
 
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -5,8 +5,8 @@ are the matrix (scalars are 1x1); any leading axes are a batch, such as one
 matrix per video, and a 2-D value is simply a batch of none. Row-wise ops
 (softmax, norms, slices, concatenation, the temporal convolution) act on
 each matrix of a batch on its own; `topk_mean` and `reduce` give one value
-per matrix. `matmul` and `add_rowvec` broadcast a 2-D parameter over the
-batch, and their backward sums its gradient over every row of the batch.
+per matrix. `linear` applies a 2-D weight and a 1xE bias to every row of
+a batch, and its backward sums their gradients over every row.
 
 Ops record a backward closure per input; `backward` replays the tape in
 reverse and returns gradients keyed by leaf name. A central-difference
@@ -22,8 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+SAMPLED_COORDS = 200  # coordinates finite_diff_check samples past 10,000
 
-def as_matrix(value, dtype=None) -> np.ndarray:
+
+def as_matrix(value) -> np.ndarray:
     """Coerce to a float array of at least two axes and validate finiteness.
 
     Floating inputs keep their precision (so the finite-difference checker
@@ -31,9 +33,7 @@ def as_matrix(value, dtype=None) -> np.ndarray:
     widens to float64. A scalar becomes 1x1 and a vector one row.
     """
     a = np.asarray(value)
-    if dtype is None:
-        dtype = a.dtype if a.dtype.kind == "f" else np.float64
-    a = a.astype(dtype, copy=False)
+    a = a.astype(a.dtype if a.dtype.kind == "f" else np.float64, copy=False)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
@@ -113,21 +113,11 @@ def _unbroadcast(g: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """a @ b over the last two axes. `b` is either 2-D, a weight shared by
-    every matrix of a's batch, or has the same batch axes as `a`."""
+    """a @ b over the last two axes; `a` and `b` have the same batch axes."""
     av, bv = a.value, b.value
-    if av.shape[-1] != bv.shape[-2] or (bv.ndim > 2
-                                        and bv.shape[:-2] != av.shape[:-2]):
+    if av.shape[-1] != bv.shape[-2] or bv.shape[:-2] != av.shape[:-2]:
         raise ValueError(
             f"matmul dimension mismatch: {av.shape} @ {bv.shape}")
-    if bv.ndim == 2:
-        # One GEMM over all B*T rows, forward and backward; the weight
-        # gradient is thereby summed over the batch.
-        out = (_rows(av) @ bv).reshape(av.shape[:-1] + bv.shape[1:])
-        return _tape_of(a, b)._record(out, [
-            (a, lambda g: (_rows(g) @ bv.T).reshape(av.shape)),
-            (b, lambda g: _rows(av).T @ _rows(g)),
-        ])
     return _tape_of(a, b)._record(av @ bv, [
         (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
         (b, lambda g: np.swapaxes(av, -1, -2) @ g),
@@ -152,13 +142,17 @@ def sub(a: Node, b: Node) -> Node:
     ])
 
 
-def add_rowvec(m: Node, b: Node) -> Node:
-    """Broadcast-add a 1xD row (bias) over every row of a ...xTxD value."""
-    if b.value.shape != (1, m.value.shape[-1]):
-        raise ValueError(
-            f"row vector shape {b.value.shape} does not match matrix {m.value.shape}")
-    return _tape_of(m, b)._record(m.value + b.value, [
-        (m, lambda g: g),
+def linear(x: Node, w: Node, b: Node) -> Node:
+    """x @ w + b, with the DxE weight `w` and 1xE bias `b` shared by x's
+    batch: one GEMM over all rows, forward and backward."""
+    xv, wv = x.value, w.value
+    if wv.ndim != 2 or b.shape != (1, wv.shape[1]) or xv.shape[-1] != len(wv):
+        raise ValueError(f"linear shape mismatch: {xv.shape} @ {wv.shape} "
+                         f"+ {b.shape}")
+    out = (_rows(xv) @ wv).reshape(xv.shape[:-1] + wv.shape[1:]) + b.value
+    return _tape_of(x, w, b)._record(out, [
+        (x, lambda g: (_rows(g) @ wv.T).reshape(xv.shape)),
+        (w, lambda g: _rows(xv).T @ _rows(g)),
         (b, _unbroadcast),
     ])
 
@@ -223,14 +217,10 @@ def _shift_rows(x: np.ndarray, offset: int) -> np.ndarray:
     zero-filled; rows never cross from one matrix of a batch to the next."""
     out = np.zeros_like(x)
     t = x.shape[-2]
-    if offset == 0:
-        return x.copy()
-    if offset > 0:
-        if offset < t:
-            out[..., offset:, :] = x[..., :t - offset, :]
-    else:
-        if -offset < t:
-            out[..., :t + offset, :] = x[..., -offset:, :]
+    if 0 < offset < t:
+        out[..., offset:, :] = x[..., :t - offset, :]
+    elif -t < offset <= 0:
+        out[..., :t + offset, :] = x[..., -offset:, :]
     return out
 
 
@@ -400,14 +390,13 @@ def finite_diff_check(build: Callable[[dict[str, np.ndarray]], Node],
                       params: dict[str, np.ndarray],
                       eps: float = 1e-5,
                       tol: float = 1e-4,
-                      max_coords: int = 200,
                       seed: int = 0) -> GradReport:
     """Compare analytic gradients of `build` against central differences.
 
     `build` must construct a fresh tape from the given parameter arrays and
     return the scalar loss node. All coordinates are checked unless the
-    total exceeds 10,000, in which case a seeded random subsample of at
-    least `max_coords` coordinates is used. Relative error denominator is
+    total exceeds 10,000, in which case a seeded random subsample of
+    SAMPLED_COORDS coordinates is used. Relative error denominator is
     max(|analytic|, |numeric|, 1e-8).
     """
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
@@ -423,7 +412,7 @@ def finite_diff_check(build: Callable[[dict[str, np.ndarray]], Node],
     total = len(coords)
     if total > 10_000:
         rng = np.random.default_rng(seed)
-        pick = rng.choice(total, size=max(max_coords, 200), replace=False)
+        pick = rng.choice(total, size=SAMPLED_COORDS, replace=False)
         coords = [coords[i] for i in pick]
 
     # The perturbed evaluations run in extended precision so that the

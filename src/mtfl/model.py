@@ -108,7 +108,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 def _project(x: Node, leaves, prefix: str) -> Node:
-    return dc.add_rowvec(dc.matmul(x, leaves[f"{prefix}_w"]), leaves[f"{prefix}_b"])
+    return dc.linear(x, leaves[f"{prefix}_w"], leaves[f"{prefix}_b"])
 
 
 def _split_heads(x: Node, heads: int) -> Node:

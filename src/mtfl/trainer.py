@@ -24,8 +24,8 @@ import numpy as np
 
 from . import model as model_mod
 from . import objective
-from .container import (ChecksumError, FormatError, Reader, frame,
-                        open_container)
+from .container import (ChecksumError, FormatError, NonFiniteError, Reader,
+                        frame, open_container)
 from .dataio import Dataset, snippet_tensors
 from .diffcore import Node, Tape, backward
 from .model import ModelConfig
@@ -169,7 +169,6 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
     Log rows are (step, LossBreakdown); also written as CSV when
     `log_path` is given. Deterministic in (dataset, cfg, seed).
     """
-    dataset.validate()
     feats = snippet_tensors(dataset.videos, cfg.model.t)
     labels = np.array([v.label for v in dataset.videos])
     params = model_mod.init_params(cfg.model, cfg.seed)
@@ -286,6 +285,13 @@ def _drop_retired(blob: dict, fixed: dict):
                              f"now fixed at {json.dumps(value)}")
 
 
+def _require_finite(path, tables):
+    """A NonFiniteError naming `path` and the first non-finite tensor."""
+    for name, tensor in chain.from_iterable(t.items() for t in tables):
+        if not np.all(np.isfinite(tensor)):
+            raise NonFiniteError(f"{path}: tensor {name} is not finite")
+
+
 def _config_from_json(raw: bytes, path, step: int, tables) -> TrainConfig:
     """The header's config; its step and seed must be the stored ones, and
     each tensor table must hold the tensors of the model it describes."""
@@ -323,7 +329,9 @@ def _config_from_json(raw: bytes, path, step: int, tables) -> TrainConfig:
 def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
                     state: AdamState):
     """Write to `<path>.tmp`, then rename it over `path`: a write that fails
-    or is killed part-way leaves the previous checkpoint at `path` whole."""
+    or is killed part-way leaves the previous checkpoint at `path` whole.
+    Non-finite tensors are refused before anything is written."""
+    _require_finite(path, (params, state.m, state.v))
     header = json.dumps({"train": asdict(cfg), "step": state.step,
                          "seed": cfg.seed}, sort_keys=True).encode("utf-8")
     body = chain((struct.pack("<I", len(header)), header,
@@ -357,5 +365,6 @@ def load_checkpoint(path):
     r.end()
     if zlib.crc32(r.raw[8:body_end]) != stored_crc:
         raise ChecksumError(f"{path}: CRC mismatch")
+    _require_finite(path, (params, m, v))
     return (_config_from_json(header, path, step, (params, m, v)), params,
             AdamState(m=m, v=v, step=step))

@@ -24,7 +24,7 @@ from mtfl.objective import LossWeights
 from mtfl.trainer import TrainConfig
 
 from test_trainer import (edited_header, first_name_offset, header_of,
-                          older_header, with_header)
+                          older_header, with_header, with_value)
 
 
 def run_capture(capsys, argv):
@@ -622,6 +622,23 @@ class TestScoreEvalCommands:
         assert code == 2
         assert_one_line_error(err)
         assert str(ckpt) in err
+
+    @pytest.mark.parametrize("table, name, value", [
+        (0, "clf.fc1_w", float("nan")), (2, "ltl.proj_w", float("inf"))],
+        ids=["param-nan", "adam-moment-inf"])
+    def test_non_finite_checkpoint_is_runtime_error(self, tmp_path, capsys,
+                                                    table, name, value):
+        data = small_synth(tmp_path)
+        ckpt = train_small(tmp_path, data) / "final.mtfc"
+        ckpt.write_bytes(with_value(ckpt.read_bytes(), table, name, value))
+        code, _, err = run_capture(capsys, [
+            "score", "--checkpoint", str(ckpt),
+            "--manifest", str(data / "test_manifest.csv"),
+            "--out-dir", str(tmp_path / "scores")])
+        assert code == 2
+        assert_one_line_error(err)
+        assert f"{ckpt}: tensor {name} " in err
+        assert not (tmp_path / "scores").exists()
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         data = small_synth(tmp_path)

@@ -279,15 +279,66 @@ class TestDatasetValidation:
         cfg = SynthConfig(n_normal_train=1, n_abnormal_train=1,
                           n_normal_test=1, n_abnormal_test=1, d=4)
         train, _ = synth_generate(cfg, 2)
-        broken = Dataset(videos=train.videos + [train.videos[0]], split="train")
         with pytest.raises(ValueError, match="duplicate"):
-            broken.validate()
+            Dataset(videos=train.videos + [train.videos[0]], split="train")
 
     def test_single_class_train_rejected(self):
         cfg = SynthConfig(n_normal_train=2, n_abnormal_train=1,
                           n_normal_test=1, n_abnormal_test=1, d=4)
         train, _ = synth_generate(cfg, 2)
-        only_normal = Dataset(videos=[v for v in train.videos if v.label == 0],
-                              split="train")
         with pytest.raises(ValueError, match="class"):
-            only_normal.validate()
+            Dataset(videos=[v for v in train.videos if v.label == 0],
+                    split="train")
+
+
+def record(d=4, rows=(3, 3, 3), **changes):
+    """A valid abnormal record of 100 frames with `rows` clips of width
+    `d` per scale, with `changes` applied."""
+    fields = dict(video_id="v", label=1, n_frames=100,
+                  clips=tuple(np.zeros((n, d)) for n in rows),
+                  intervals=[(10, 20)])
+    return VideoRecord(**{**fields, **changes})
+
+
+def normal(vid, d=4):
+    return record(d=d, video_id=vid, label=0, intervals=[])
+
+
+# Each rule of a record or a dataset, broken: the object to make, and the
+# message its construction raises.
+BROKEN = {
+    **{f"id-{name}": (lambda vid=vid: record(video_id=vid), "not a file name")
+       for name, vid in [("empty", ""), ("dot", "."), ("dotdot", ".."),
+                         ("parent", "../x"), ("slash", "a/b"),
+                         ("backslash", "a\\b"), ("nul", "a\0b")]},
+    "n-frames-0": (lambda: record(n_frames=0, intervals=[]),
+                   "n_frames must be >= 1, got 0"),
+    "n-frames-2**31": (lambda: record(n_frames=2**31),
+                       r"n_frames must be < 2\*\*31"),
+    "label-2": (lambda: record(label=2), "label must be 0 or 1"),
+    "scale-no-rows": (lambda: record(rows=(3, 3, 0)),
+                      "long-scale feature file has no rows"),
+    "scale-d": (lambda: record(clips=(np.zeros((3, 4)),) * 2
+                               + (np.zeros((3, 6)),)),
+                "long-scale D=6 differs from short-scale D=4"),
+    "interval-outside": (lambda: record(intervals=[(90, 101)]), "outside"),
+    "interval-empty": (lambda: record(intervals=[(20, 20)]), "outside"),
+    "interval-overlap": (lambda: record(intervals=[(10, 20), (15, 30)]),
+                         "overlapping"),
+    "normal-with-interval": (lambda: record(label=0),
+                             "normal video with anomaly intervals"),
+    "dataset-duplicate-ids": (
+        lambda: Dataset([record(), normal("v")]), "duplicate video ids"),
+    "dataset-d-differs": (
+        lambda: Dataset([record(), normal("w", d=6)], split="test"),
+        "feature dimension differs"),
+    "dataset-train-one-class": (
+        lambda: Dataset([record()]), "needs at least one video of each"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_broken_rule_raises_at_construction(case):
+    make, message = BROKEN[case]
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -311,20 +311,26 @@ def _batch_sum(node):
 
 
 # Each case maps a (3, 5, 4) batch x and 2-D weights w (4x4), k (4x3) and
-# b (1x4) to a batched node.
+# b (1x4) to a batched node. "matmul_shared_weight" and "add_rowvec" are the
+# two halves of `linear` alone: a zero bias, and an identity weight.
 BATCHED_OPS = {
-    "matmul_shared_weight": lambda x, w, k, b: dc.matmul(x, w),
-    "matmul_batched": lambda x, w, k, b: dc.matmul(dc.matmul(x, w),
+    "linear": lambda x, w, k, b: dc.linear(x, w, b),
+    "matmul_shared_weight": lambda x, w, k, b: dc.linear(
+        x, w, x.tape.constant(np.zeros((1, 4)))),
+    "add_rowvec": lambda x, w, k, b: dc.linear(
+        x, x.tape.constant(np.eye(4)), b),
+    "matmul_batched": lambda x, w, k, b: dc.matmul(dc.linear(x, w, b),
                                                    dc.transpose(x)),
-    "add_rowvec": lambda x, w, k, b: dc.add_rowvec(x, b),
-    "softmax_rows": lambda x, w, k, b: dc.softmax_rows(dc.matmul(x, w)),
-    "row_norms": lambda x, w, k, b: dc.row_norms(dc.matmul(x, w)),
+    "softmax_rows": lambda x, w, k, b: dc.softmax_rows(dc.linear(x, w, b)),
+    "row_norms": lambda x, w, k, b: dc.row_norms(dc.linear(x, w, b)),
     "conv": lambda x, w, k, b: dc.dilated_conv1d_depthwise(x, k, b, 2),
-    "concat_cols": lambda x, w, k, b: dc.concat_cols([x, dc.matmul(x, w)]),
-    "slice_rows": lambda x, w, k, b: dc.slice_rows(dc.matmul(x, w), 1, 4),
-    "reduce_mean": lambda x, w, k, b: dc.reduce(dc.matmul(x, w), mode="mean"),
+    "concat_cols": lambda x, w, k, b: dc.concat_cols([x,
+                                                      dc.linear(x, w, b)]),
+    "slice_rows": lambda x, w, k, b: dc.slice_rows(dc.linear(x, w, b), 1, 4),
+    "reduce_mean": lambda x, w, k, b: dc.reduce(dc.linear(x, w, b),
+                                                mode="mean"),
     "topk_mean": lambda x, w, k, b: dc.topk_mean(
-        dc.row_norms(dc.matmul(x, w)), 2),
+        dc.row_norms(dc.linear(x, w, b)), 2),
     "heads": lambda x, w, k, b: dc.transpose(
         dc.reshape(x, x.shape[:-1] + (2, 2)), -3, -2),
 }
@@ -368,17 +374,35 @@ class TestBatchAxis:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(3, 5, 4))
         w = rng.normal(size=(4, 2))
+        b = rng.normal(size=(1, 2))
 
-        def grad_w(xv):
+        def grads(xv):
             tape = Tape()
-            out = dc.matmul(tape.leaf(xv), tape.leaf(w, name="w"))
-            return backward(_batch_sum(dc.hadamard(out, out)))["w"]
+            out = dc.linear(tape.leaf(xv), tape.leaf(w, name="w"),
+                            tape.leaf(b, name="b"))
+            return backward(_batch_sum(dc.hadamard(out, out)))
 
-        assert np.allclose(grad_w(x), sum(grad_w(x[i]) for i in range(3)),
-                           rtol=1e-13)
+        batched = grads(x)
+        for name in "wb":
+            assert np.allclose(batched[name],
+                               sum(grads(x[i])[name] for i in range(3)),
+                               rtol=1e-13)
 
     def test_batched_matmul_needs_matching_batch(self):
         tape = Tape()
         with pytest.raises(ValueError, match="mismatch"):
             dc.matmul(tape.leaf(np.zeros((2, 3, 4))),
                       tape.leaf(np.zeros((3, 4, 2))))
+        with pytest.raises(ValueError, match="mismatch"):  # see `linear`
+            dc.matmul(tape.leaf(np.zeros((2, 3, 4))),
+                      tape.leaf(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("w, b", [((4, 2), (1, 3)), ((4, 2), (2, 2)),
+                                      ((3, 2), (1, 2)), ((1, 4, 2), (1, 2))],
+                             ids=["bias-width", "bias-rows", "weight-rows",
+                                  "batched-weight"])
+    def test_linear_shape_mismatch(self, w, b):
+        tape = Tape()
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            dc.linear(tape.leaf(np.zeros((2, 3, 4))),
+                      tape.leaf(np.zeros(w)), tape.leaf(np.zeros(b)))

@@ -181,6 +181,38 @@ def test_mutated_manifest_gives_exit_code_and_one_line(manifest_run, ops):
             assert str(manifest) in err, err
 
 
+@FUZZ
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("truncate"), position),
+    st.tuples(st.just("flip"), position, st.integers(1, 255)),
+    st.tuples(st.just("bytes"), position, st.sampled_from(MANIFEST_TOKENS)),
+), min_size=1, max_size=4))
+def test_mutated_train_manifest_gives_exit_code_and_one_line(manifest_run,
+                                                             ops):
+    """`train` on a mutated train manifest: it exits 0, 1 or 2 with exactly
+    one error line; a validation error names the manifest and leaves no
+    --out-dir behind."""
+    root, _, _ = manifest_run
+    manifest = root / "data" / "mutated_train_manifest.csv"
+    manifest.write_bytes(apply(
+        (root / "data" / "train_manifest.csv").read_bytes(), ops))
+    out = root / "fuzz_run"
+    shutil.rmtree(out, ignore_errors=True)
+    code, err, caught = run_quietly([
+        "train", "--manifest", str(manifest), "--out-dir", str(out),
+        "--epochs", "1", "--batch-half", "2", "--t", "8", "--heads", "2",
+        "--seed", "1"])
+    assert code in (0, 1, 2)
+    assert caught == []
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 1:
+        assert str(manifest) in err, err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def feature_file(manifest_run):
     root, _, _ = manifest_run

@@ -36,3 +36,18 @@ def test_ablations_run_every_variant(tmp_path):
                                                   "ff"]
     for block in blocks:
         assert re.search(r"^AUC=\d\.\d{6}$", block, re.M), block
+
+
+def test_output_digest_is_reproducible(tmp_path):
+    runs = [run_script("output_digest.py", tmp_path / name)
+            for name in ("a", "b")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    paths = [line.split("  ", 1)[1] for line in runs[0].stdout.splitlines()]
+    for expected in ("run/final.mtfc", "run/loss_log.csv",
+                     "ablated/final.mtfc", "scores/test_normal_0000.csv",
+                     "data/features/train_normal_0000_short.mtfb",
+                     "data/train_manifest.csv", "data/test_manifest.csv",
+                     "(eval output)"):
+        assert expected in paths, runs[0].stdout

@@ -223,6 +223,27 @@ def with_header(raw: bytes, header: bytes) -> bytes:
     return raw[:8] + body + struct.pack("<I", zlib.crc32(body))
 
 
+def with_value(raw: bytes, table: int, name: str, value: float) -> bytes:
+    """The checkpoint `raw` with entry [0, 0] of tensor `name` in table
+    `table` (0: parameters, 1 and 2: Adam's moments) set to `value`, and a
+    valid CRC."""
+    (n,) = struct.unpack_from("<I", raw, 8)
+    pos = 12 + n + 4
+    for t in range(table + 1):
+        (count,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        for _ in range(count):
+            (k,) = struct.unpack_from("<I", raw, pos)
+            found = raw[pos + 4:pos + 4 + k].decode()
+            rows, cols = struct.unpack_from("<II", raw, pos + 4 + k)
+            pos += 4 + k + 8
+            if (t, found) == (table, name):
+                body = raw[8:pos] + struct.pack("<d", value) + raw[pos + 8:-4]
+                return raw[:8] + body + struct.pack("<I", zlib.crc32(body))
+            pos += 8 * rows * cols
+    raise KeyError(name)
+
+
 def older_header(h: dict, beta1=0.9, lm=2, halves=None) -> bytes:
     """The header `h` as older versions wrote it: with Adam's betas and
     eps, two batch halves, the LTL dilations and a thread count. By
@@ -355,6 +376,33 @@ class TestCheckpoint:
             expected = OSError
         with pytest.raises(expected):
             save_checkpoint(path, cfg, newer, state)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    @pytest.mark.parametrize("table, name, value", [
+        (0, "clf.fc1_w", math.nan), (1, "pfl.lm.q_b", math.inf),
+        (2, "clf.fc3_b", -math.inf)], ids=["param-nan", "m-inf", "v-neg-inf"])
+    def test_non_finite_tensor_is_checkpoint_error(self, tmp_path, table,
+                                                    name, value):
+        _, _, _, path = self._trained(tmp_path)
+        path.write_bytes(with_value(path.read_bytes(), table, name, value))
+        with pytest.raises(container.NonFiniteError,
+                           match=f"{re.escape(str(path))}: tensor {name} "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("table", ["params", "m", "v"])
+    def test_save_refuses_non_finite_tensor(self, tmp_path, table):
+        cfg, params, state, path = self._trained(tmp_path)
+        before = path.read_bytes()
+        bad = {k: v.copy() for k, v in params.items()}
+        bad["clf.fc1_w"][0, 0] = math.nan
+        if table == "params":
+            params = bad
+        else:
+            setattr(state, table, bad)
+        with pytest.raises(container.NonFiniteError,
+                           match=f"{re.escape(str(path))}: tensor clf.fc1_w "):
+            save_checkpoint(path, cfg, params, state)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
