@@ -73,7 +73,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    with open(args.config) as f:
+    with open(args.config, encoding="utf-8") as f:
         try:
             blob = json.load(f)
         except ValueError as e:  # not JSON, or not UTF-8
@@ -100,7 +100,7 @@ def _cmd_train(args):
     if seed is None:
         seed = secrets.randbelow(2**31)
         print(f"seed={seed}")
-    dataset = dataio.read_manifest(args.manifest, split="train")
+    dataset = dataio.read_dataset(args.manifest, split="train")
     cfg = TrainConfig(
         model=ModelConfig(
             d=dataset.videos[0].dim, t=args.t, heads=args.heads,
@@ -128,7 +128,7 @@ def _cmd_score(args):
     if None in (args.checkpoint, args.manifest, args.out_dir):
         raise CliError("score requires --checkpoint, --manifest and --out-dir")
     cfg, params, _ = trainer.load_checkpoint(args.checkpoint)
-    dataset = dataio.read_manifest(args.manifest, split="test")
+    dataset = dataio.read_dataset(args.manifest, split="test")
     if dataset.videos and dataset.videos[0].dim != cfg.model.d:
         raise CliError(f"{args.manifest}: features have "
                        f"D={dataset.videos[0].dim}, checkpoint "
@@ -161,14 +161,15 @@ def _read_curve_scores(path) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty file
             return np.loadtxt(path, delimiter=",", usecols=1, ndmin=1,
-                              comments=None, dtype=np.float64)
+                              comments=None, dtype=np.float64,
+                              encoding="utf-8")
     except ValueError:
         return _read_curve_lines(path)
 
 
 def _read_curve_lines(path) -> np.ndarray:
     try:
-        lines = Path(path).read_text().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: {e}") from None
     scores = []
@@ -190,8 +191,14 @@ def _cmd_eval(args):
     dataset = dataio.read_manifest(args.manifest, split="test")
     if not dataset.videos:
         raise CliError(f"{args.manifest}: no videos to evaluate")
-    frame_scores = {v.video_id: _read_curve_scores(
-        Path(args.scores_dir) / f"{v.video_id}.csv") for v in dataset.videos}
+    frame_scores = {}
+    for v in dataset.videos:
+        curve = Path(args.scores_dir) / f"{v.video_id}.csv"
+        scores = _read_curve_scores(curve)
+        try:
+            frame_scores[v.video_id] = metrics.video_scores(v, scores)
+        except ValueError as e:
+            raise ValueError(f"{curve}: {e}") from None
     try:
         report = metrics.evaluate(dataset.videos, frame_scores,
                                   per_video=args.per_video)

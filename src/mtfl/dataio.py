@@ -6,6 +6,8 @@ little-endian float32 values in row-major order.
 
 Manifest lines: `video_id,label,n_frames,path_short,path_medium,path_long,intervals`
 where intervals is `s1:e1;s2:e2;...` (half-open frame ranges) or empty.
+`read_manifest` checks a manifest's text and opens no feature file;
+`read_dataset` checks the text, then reads each feature file once.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ class ManifestError(ValueError):
 
 
 @dataclass
-class VideoRecord:
+class VideoEntry:
+    """A video as its manifest line gives it, without its features:
+    construction checks every rule of a line's text."""
     video_id: str
     label: int
     n_frames: int
-    clips: tuple[np.ndarray, ...]  # (N_scale, D) each, TUBELET_LENGTHS order
     intervals: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -48,14 +51,6 @@ class VideoRecord:
             raise ValueError(f"n_frames must be < 2**31, got {self.n_frames}")
         if self.label not in (0, 1):
             raise ValueError(f"{self.video_id}: label must be 0 or 1")
-        for scale, clips in zip(TUBELET_LENGTHS, self.clips, strict=True):
-            if clips.shape[0] < 1:
-                raise ValueError(f"{self.video_id}: {scale}-scale feature "
-                                 f"file has no rows")
-            if clips.shape[1] != self.dim:
-                raise ValueError(
-                    f"{self.video_id}: {scale}-scale D={clips.shape[1]} "
-                    f"differs from short-scale D={self.dim}")
         prev_end = -1
         for start, end in sorted(self.intervals):
             if not (0 <= start < end <= self.n_frames):
@@ -68,6 +63,23 @@ class VideoRecord:
         if self.label == 0 and self.intervals:
             raise ValueError(f"{self.video_id}: normal video with anomaly intervals")
 
+
+@dataclass(kw_only=True)
+class VideoRecord(VideoEntry):
+    """A video with its clip features."""
+    clips: tuple[np.ndarray, ...]  # (N_scale, D) each, TUBELET_LENGTHS order
+
+    def __post_init__(self):
+        super().__post_init__()
+        for scale, clips in zip(TUBELET_LENGTHS, self.clips, strict=True):
+            if clips.shape[0] < 1:
+                raise ValueError(f"{self.video_id}: {scale}-scale feature "
+                                 f"file has no rows")
+            if clips.shape[1] != self.dim:
+                raise ValueError(
+                    f"{self.video_id}: {scale}-scale D={clips.shape[1]} "
+                    f"differs from short-scale D={self.dim}")
+
     @property
     def dim(self) -> int:
         return self.clips[0].shape[1]
@@ -75,14 +87,14 @@ class VideoRecord:
 
 @dataclass
 class Dataset:
-    videos: list[VideoRecord]
+    videos: list[VideoEntry]  # all VideoRecord once features are read
     split: str = "train"
 
     def __post_init__(self):
         ids = [v.video_id for v in self.videos]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate video ids in dataset")
-        dims = {v.dim for v in self.videos}
+        dims = {v.dim for v in self.videos if isinstance(v, VideoRecord)}
         if len(dims) > 1:
             raise ValueError(f"feature dimension differs across videos: {sorted(dims)}")
         if self.split == "train":
@@ -129,15 +141,15 @@ def format_intervals(intervals) -> str:
     return ";".join(f"{s}:{e}" for s, e in intervals)
 
 
-def read_manifest(path, split: str = "train") -> Dataset:
-    """The dataset a manifest lists, its feature files read. A line that
-    breaks a rule is a ManifestError naming `path` and the line."""
+def _parse_manifest(path, split):
+    """The dataset of VideoEntry records a manifest lists, and each
+    video's line number and feature-file paths, as written."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as e:
         raise ManifestError(f"{path}: not UTF-8: {e}") from None
-    videos = []
+    videos, sources = [], []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -148,16 +160,44 @@ def read_manifest(path, split: str = "train") -> Dataset:
                 f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
         vid, label, n_frames, *clip_paths, ivals = fields
         try:
-            clips = tuple(read_feature_file(path.parent / p)
-                          for p in clip_paths)
-            videos.append(VideoRecord(vid, int(label), int(n_frames), clips,
-                                      parse_intervals(ivals)))
+            videos.append(VideoEntry(vid, int(label), int(n_frames),
+                                     parse_intervals(ivals)))
         except ValueError as e:
             raise ManifestError(f"{path}:{lineno}: {e}") from None
+        sources.append((lineno, clip_paths))
+    return _dataset(path, videos, split), sources
+
+
+def _dataset(path, videos, split) -> Dataset:
     try:
         return Dataset(videos=videos, split=split)
     except ValueError as e:
         raise ManifestError(f"{path}: {e}") from None
+
+
+def read_manifest(path, split: str = "train") -> Dataset:
+    """The videos a manifest lists, as VideoEntry records, from its text
+    alone: no feature file is opened. A line that breaks a rule is a
+    ManifestError naming `path` and the line."""
+    return _parse_manifest(path, split)[0]
+
+
+def read_dataset(path, split: str = "train") -> Dataset:
+    """The videos a manifest lists, as VideoRecord records: the manifest's
+    text rules first, as `read_manifest` checks them, then each feature
+    file, read once, and the rules of the features."""
+    path = Path(path)
+    manifest, sources = _parse_manifest(path, split)
+    videos = []
+    for v, (lineno, clip_paths) in zip(manifest.videos, sources):
+        try:
+            clips = tuple(read_feature_file(path.parent / p)
+                          for p in clip_paths)
+            videos.append(VideoRecord(v.video_id, v.label, v.n_frames,
+                                      v.intervals, clips=clips))
+        except ValueError as e:
+            raise ManifestError(f"{path}:{lineno}: {e}") from None
+    return _dataset(path, videos, split)
 
 
 def segment_to_snippets(clips: np.ndarray, t: int) -> np.ndarray:
@@ -232,8 +272,9 @@ def _synth_video(rng, cfg: SynthConfig, direction, video_id, label, with_interva
         feats = rng.standard_normal((starts.size, cfg.d)) * cfg.noise_scale
         feats += (cfg.boost * share)[:, None] * direction
         clips.append(feats.astype(np.float32).astype(np.float64))
-    return VideoRecord(video_id, label, n_frames, tuple(clips),
-                       intervals if (label == 1 and with_intervals) else [])
+    return VideoRecord(video_id, label, n_frames,
+                       intervals if (label == 1 and with_intervals) else [],
+                       clips=tuple(clips))
 
 
 def synth_generate(cfg: SynthConfig, seed: int, out_dir=None):

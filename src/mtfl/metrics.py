@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import VideoRecord
+from .dataio import VideoEntry
 
 
 class DegenerateLabelsError(ValueError):
@@ -24,36 +24,23 @@ def expand_to_frames(scores: np.ndarray, n_frames: int) -> np.ndarray:
     return scores[idx]
 
 
-def frame_ground_truth(record: VideoRecord) -> np.ndarray:
+def frame_ground_truth(record: VideoEntry) -> np.ndarray:
     gt = np.zeros(record.n_frames, dtype=np.int64)
     for start, end in record.intervals:
         gt[start:end] = 1
     return gt
 
 
-def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each score's tie group, groups numbered in ascending score order,
-    and the size of each group: the one sort AUC and AP share.
-
-    Frame scores come in runs of equal values (a snippet's score repeats
-    over its frames), so only the first score of each run is sorted."""
-    starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
-    _, run_group = np.unique(scores[starts], return_inverse=True)
-    lengths = np.diff(np.append(starts, scores.size))
-    group = np.repeat(run_group.ravel(), lengths)
-    return group, np.bincount(group)
-
-
-def _average_ranks(group: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the average rank of their group."""
-    last = np.cumsum(counts)  # rank of each group's last member
-    return (last - (counts - 1) / 2.0)[group]
-
-
 def auc_and_ap(scores, labels) -> tuple[float, float]:
     """Mann-Whitney ROC-AUC, with average ranks for ties, and
     step-integrated AP, where equal scores form one threshold, from one
-    sort of the scores. Both need positive and negative labels."""
+    sort of the scores. Both need positive and negative labels.
+
+    Frame scores come in runs of equal values (a snippet's score repeats
+    over its frames), so both count runs of frames that share one score
+    and are all positive or all not, and sort only the runs' scores.
+    Counts and rank sums are integers or half-integers below 2**53, exact
+    in any order, so the result is the frame-by-frame one to the bit."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     positive = labels == 1
@@ -61,12 +48,20 @@ def auc_and_ap(scores, labels) -> tuple[float, float]:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             f"AUC needs both classes (got {n_pos} positive, {n_neg} negative)")
-    group, counts = _tie_groups(scores)
-    auc = ((_average_ranks(group, counts)[positive].sum()
-            - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    starts = np.flatnonzero(np.r_[True, (scores[1:] != scores[:-1])
+                                  | (positive[1:] != positive[:-1])])
+    lengths = np.diff(np.append(starts, scores.size))
+    # Tie groups, numbered in ascending score order: the frames and the
+    # positive frames of each.
+    _, group = np.unique(scores[starts], return_inverse=True)
+    counts = np.bincount(group, weights=lengths)
+    group_tp = np.bincount(group, weights=lengths * positive[starts])
+    # Each group's average 1-based rank: its last rank less half its ties.
+    ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    auc = (group_tp @ ranks - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     # One threshold per distinct score, highest first: the ascending tie
     # groups in reverse.
-    group_tp = np.bincount(group, weights=positive)[::-1]
+    group_tp = group_tp[::-1]
     tp = np.cumsum(group_tp)
     seen = np.cumsum(counts[::-1])
     # A running total adds the steps in threshold order, as a sweep would.
@@ -86,18 +81,25 @@ class EvalReport:
                 f"positives={self.n_pos_frames}", f"negatives={self.n_neg_frames}"]
 
 
-def evaluate(videos: list[VideoRecord], frame_scores: dict[str, np.ndarray],
+def video_scores(video: VideoEntry, scores) -> np.ndarray:
+    """`scores` as a flat array, checked to hold one finite score per frame
+    of `video`."""
+    scores = np.asarray(scores).ravel()
+    if scores.size != video.n_frames:
+        raise ValueError(f"{video.video_id}: {scores.size} scores for "
+                         f"{video.n_frames} frames")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"{video.video_id}: non-finite frame score")
+    return scores
+
+
+def evaluate(videos: list[VideoEntry], frame_scores: dict[str, np.ndarray],
              per_video: bool = False) -> EvalReport:
     """Pool frames across all videos into one AUC/AP; optional per-video stats."""
     all_scores, all_labels = [], []
     details = {}
     for v in videos:
-        scores = np.asarray(frame_scores[v.video_id]).ravel()
-        if scores.size != v.n_frames:
-            raise ValueError(
-                f"{v.video_id}: {scores.size} scores for {v.n_frames} frames")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError(f"{v.video_id}: non-finite frame score")
+        scores = video_scores(v, frame_scores[v.video_id])
         gt = frame_ground_truth(v)
         all_scores.append(scores)
         all_labels.append(gt)
@@ -127,7 +129,7 @@ def frame_numbers(n_frames: int) -> tuple[str, list[int]]:
     return text, [0, *ends.tolist()]
 
 
-def export_score_curve(video: VideoRecord, frame_scores: np.ndarray, path,
+def export_score_curve(video: VideoEntry, frame_scores: np.ndarray, path,
                        numbers=None):
     """One `frame,score,gt` line per frame, fixed 6-decimal formatting.
     `numbers` is a `frame_numbers` column at least as long as the video;

@@ -86,7 +86,7 @@ def test_criterion_3_synthetic_end_to_end(synth_pipeline):
 
     # untrained model on the same split
     data = synth_pipeline["data"]
-    test_ds = dataio.read_manifest(data / "test_manifest.csv", split="test")
+    test_ds = dataio.read_dataset(data / "test_manifest.csv", split="test")
     mcfg = ModelConfig(d=16)
     params = model.init_params(mcfg, 42)
     frame_scores = {v.video_id: metrics.expand_to_frames(s, v.n_frames)

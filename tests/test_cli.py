@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -54,10 +55,11 @@ def write_curves(scores_dir, manifest):
             "".join(f"{f},0.5,0\n" for f in range(v.n_frames)))
 
 
-def run_cli_process(argv, timeout=60):
-    """The CLI in a child process, killed after `timeout` seconds."""
+def run_cli_process(argv, timeout=60, env=()):
+    """The CLI in a child process, killed after `timeout` seconds, with
+    the variables of `env` set."""
     src = str(Path(mtfl.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "mtfl.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
@@ -209,7 +211,7 @@ class TestSynthCommand:
         data = small_synth(tmp_path)
         assert (data / "train_manifest.csv").exists()
         assert (data / "test_manifest.csv").exists()
-        ds = dataio.read_manifest(data / "train_manifest.csv")
+        ds = dataio.read_dataset(data / "train_manifest.csv")
         assert len(ds.videos) == 8
 
     @pytest.mark.parametrize("flags", [
@@ -339,17 +341,25 @@ class TestManifestRecordRules:
     ], ids=["label", "outside", "overlap", "normal", "scale-d", "no-rows"])
     def test_rule_names_manifest_line_and_video(self, tmp_path, capsys,
                                                 line, field, value, message):
+        """`eval` checks the rules of a line's text; a feature file's rules
+        are checked by `score` (and `train`), as eval opens none."""
         data = small_synth(tmp_path)
         write_feature_file(data / "narrow.mtfb", np.zeros((4, 6)))
         write_feature_file(data / "empty.mtfb", np.zeros((0, 8)))
+        scores = tmp_path / "scores"
+        if field in (3, 4, 5):  # a feature-file path
+            argv = ["score", "--out-dir", str(scores), "--checkpoint",
+                    str(train_small(tmp_path, data) / "final.mtfc")]
+        else:
+            argv = ["eval", "--scores-dir", str(scores)]
         manifest = data / "test_manifest.csv"
         vid = edit_manifest_line(manifest, line, field, value)
-        code, _, err = run_capture(capsys, [
-            "eval", "--scores-dir", str(tmp_path / "scores"),
-            "--manifest", str(manifest)])
+        code, _, err = run_capture(capsys, [*argv, "--manifest",
+                                            str(manifest)])
         assert code == 1
         assert_one_line_error(err)
         assert f"error: {manifest}:{line}: {vid}: {message}" in err
+        assert not scores.exists()
 
     def test_feature_file_without_rows_rejected_before_training(
             self, tmp_path, capsys):
@@ -572,7 +582,7 @@ class TestScoreEvalCommands:
                                 "--manifest", str(manifest)], timeout=60)
         assert proc.returncode == 1
         assert_one_line_error(proc.stderr)
-        assert victim.video_id in proc.stderr
+        assert f"error: {curve}: {victim.video_id}: non-finite" in proc.stderr
 
     def test_curve_length_mismatch_is_validation_error(self, tmp_path,
                                                        capsys):
@@ -587,7 +597,47 @@ class TestScoreEvalCommands:
             "eval", "--scores-dir", str(scores), "--manifest", str(manifest)])
         assert code == 1
         assert_one_line_error(err)
-        assert victim.video_id in err
+        assert (f"error: {curve}: {victim.video_id}: {victim.n_frames - 1} "
+                f"scores for {victim.n_frames} frames") in err
+
+    def test_eval_reads_no_feature_file(self, tmp_path, capsys):
+        """`eval` needs only the manifest and the curves: with the feature
+        files gone it prints the same report, byte for byte."""
+        data = small_synth(tmp_path)
+        out = train_small(tmp_path, data)
+        manifest = str(data / "test_manifest.csv")
+        scores = tmp_path / "scores"
+        assert run(["score", "--checkpoint", str(out / "final.mtfc"),
+                    "--manifest", manifest, "--out-dir", str(scores)]) == 0
+        argv = ["eval", "--scores-dir", str(scores), "--manifest", manifest,
+                "--per-video"]
+        capsys.readouterr()
+        before = run_capture(capsys, argv)
+        shutil.rmtree(data / "features")
+        assert run_capture(capsys, argv) == before
+        assert before[0] == 0 and "video test_abnormal_0000: auc=" in before[1]
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_each_feature_file_read_once(self, tmp_path, monkeypatch,
+                                         command):
+        data = small_synth(tmp_path)
+        split = "train" if command == "train" else "test"
+        if command == "score":
+            out = train_small(tmp_path, data)
+            argv = ["--checkpoint", str(out / "final.mtfc"),
+                    "--out-dir", str(tmp_path / "scores")]
+        else:
+            argv = ["--out-dir", str(tmp_path / "run"), "--epochs", "1",
+                    "--batch-half", "2", "--seed", "1", "--t", "8",
+                    "--heads", "2"]
+        read = dataio.read_feature_file
+        opened = []
+        monkeypatch.setattr(dataio, "read_feature_file",
+                            lambda path: (opened.append(path), read(path))[1])
+        assert run([command, "--manifest", str(data / f"{split}_manifest.csv"),
+                    *argv]) == 0
+        assert sorted(opened) == sorted(
+            (data / "features").glob(f"{split}_*.mtfb"))
 
     @pytest.mark.parametrize("bad", ["garbage", "3,abc,0"])
     def test_unparsable_curve_line_is_validation_error(self, tmp_path, capsys,
@@ -706,6 +756,45 @@ class TestCurveReader:
         assert code == 1
         assert_one_line_error(err)
         assert str(curve) in err
+
+
+# A locale whose encoding is ASCII, with Python's UTF-8 fallbacks off: a
+# reader that decodes text by the locale fails on any non-ASCII byte.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+class TestTextIsUtf8:
+    """Text inputs are decoded as UTF-8 whatever the locale."""
+
+    def test_curve_with_unicode_digit(self, tmp_path, capsys):
+        data = small_synth(tmp_path)
+        manifest = str(data / "test_manifest.csv")
+        scores = tmp_path / "scores"
+        write_curves(scores, data / "test_manifest.csv")
+        argv = ["eval", "--scores-dir", str(scores), "--manifest", manifest]
+        capsys.readouterr()
+        code, expected, _ = run_capture(capsys, argv)
+        assert code == 0
+        curve = sorted(scores.glob("*.csv"))[0]
+        lines = curve.read_text().splitlines(True)
+        lines[2] = "2,\u06600.5,0\n"  # ARABIC-INDIC DIGIT ZERO, then 0.5
+        curve.write_text("".join(lines), encoding="utf-8")
+        proc = run_cli_process(argv, env=ASCII_LOCALE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+    def test_config_file_with_non_ascii_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # `manifest` is not a synth key, so synth ignores it, but it reads
+        # the whole file.
+        cfg.write_text(json.dumps({"manifest": "dätä/test_manifest.csv",
+                                   "normal": 2, "abnormal": 2},
+                                  ensure_ascii=False),
+                       encoding="utf-8")
+        out = tmp_path / "data"
+        proc = run_cli_process(["synth", "--config", str(cfg),
+                                "--out-dir", str(out)], env=ASCII_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"wrote 4 train and 2 test videos to {out}\n"
 
 
 def test_settable_value_count():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from mtfl import dataio
 from mtfl.container import (BadMagicError, NonFiniteError, TruncationError,
                             VersionError)
-from mtfl.dataio import (Dataset, SynthConfig, VideoRecord, read_feature_file,
-                         read_manifest, segment_to_snippets, synth_generate,
+from mtfl.dataio import (Dataset, SynthConfig, VideoEntry, VideoRecord,
+                         read_dataset, read_feature_file, read_manifest,
+                         segment_to_snippets, synth_generate,
                          write_feature_file)
 
 
@@ -126,8 +129,10 @@ class TestManifest:
             f"v0,0,100,{','.join(paths)},",
             f"v1,1,100,{','.join(paths_a)},",
         ])
-        with pytest.raises(ValueError, match="dimension"):
-            read_manifest(m)
+        assert len(read_manifest(m).videos) == 2  # features not read
+        with pytest.raises(dataio.ManifestError,
+                           match=f"^{re.escape(str(m))}: feature dimension"):
+            read_dataset(m)
 
     def test_round_trip_fixed_point(self, tmp_path):
         cfg = SynthConfig(n_normal_train=2, n_abnormal_train=2,
@@ -144,6 +149,43 @@ class TestManifest:
                 f"features/{v.video_id}_long.mtfb",
                 dataio.format_intervals(v.intervals)]))
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_manifest_opens_no_feature_file(self, tmp_path):
+        """`read_manifest` checks the text alone: it lists the videos of a
+        manifest whose feature files are missing or corrupt."""
+        write_feature_file(tmp_path / "empty.mtfb", np.zeros((0, 4)))
+        (tmp_path / "junk.mtfb").write_bytes(b"not a feature file")
+        m = self._manifest(tmp_path, [
+            "v0,0,100,missing.mtfb,empty.mtfb,junk.mtfb,",
+            "v1,1,100,a.mtfb,b.mtfb,c.mtfb,10:20",
+        ])
+        ds = read_manifest(m)
+        assert [type(v) for v in ds.videos] == [VideoEntry, VideoEntry]
+        assert ds.videos[1] == VideoEntry("v1", 1, 100, [(10, 20)])
+        with pytest.raises(FileNotFoundError, match="missing.mtfb"):
+            read_dataset(m)
+
+    def test_text_rules_come_before_feature_files(self, tmp_path):
+        """A line that breaks a text rule is reported before any feature
+        file is opened, whichever line it is on."""
+        m = self._manifest(tmp_path, [
+            "v0,0,100,missing.mtfb,missing.mtfb,missing.mtfb,",
+            "v1,2,100,missing.mtfb,missing.mtfb,missing.mtfb,",
+        ])
+        with pytest.raises(dataio.ManifestError,
+                           match=f"^{re.escape(str(m))}:2: v1: label must"):
+            read_dataset(m)
+
+    def test_dataset_reads_back_what_synth_wrote(self, tmp_path):
+        cfg = SynthConfig(n_normal_train=2, n_abnormal_train=3,
+                          n_normal_test=1, n_abnormal_test=1, d=4)
+        train, _ = synth_generate(cfg, 3, out_dir=tmp_path)
+        ds = read_dataset(tmp_path / "train_manifest.csv")
+        assert len(ds.videos) == len(train.videos)
+        for a, b in zip(ds.videos, train.videos):
+            assert (a.video_id, a.label, a.n_frames, a.intervals) == \
+                (b.video_id, b.label, b.n_frames, b.intervals)
+            assert all(map(np.array_equal, a.clips, b.clips))
 
 
 def segment_loop(clips, t):

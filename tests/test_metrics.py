@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtfl import metrics
-from mtfl.dataio import VideoRecord
+from mtfl.dataio import VideoEntry
 from mtfl.metrics import DegenerateLabelsError, auc_and_ap, expand_to_frames
 
 
@@ -47,7 +47,8 @@ def brute_force_ap(scores, labels):
 
 
 def loop_average_ranks(scores):
-    """The tie-group loop that `_average_ranks` replaced, kept as a reference."""
+    """1-based average ranks by a loop over tie groups, kept as a
+    reference."""
     order = np.argsort(scores, kind="stable")
     ranks = np.empty(scores.size)
     sorted_scores = scores[order]
@@ -96,20 +97,50 @@ def descending_sort_average_precision(scores, labels):
     return float(np.cumsum(group_tp / n_pos * (tp / seen))[-1])
 
 
+def frame_level_auc_and_ap(scores, labels):
+    """AUC and AP as `auc_and_ap` computed them frame by frame before it
+    counted runs of frames: every frame's tie group from one `np.unique`
+    of all scores, every frame's average rank, and positive frames summed
+    one by one."""
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = labels == 1
+    n_pos, n_neg = int(positive.sum()), int((labels == 0).sum())
+    _, group, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True)
+    group = group.ravel()
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+    auc = ((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0)
+           / (n_pos * n_neg))
+    group_tp = np.bincount(group, weights=positive)[::-1]
+    tp = np.cumsum(group_tp)
+    seen = np.cumsum(counts[::-1])
+    return auc, float(np.cumsum(group_tp / n_pos * (tp / seen))[-1])
+
+
+def loop_auc(scores, labels):
+    """Mann-Whitney AUC from `loop_average_ranks`."""
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    return ((loop_average_ranks(scores)[labels == 1].sum()
+             - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def tie_heavy_scores(rng, snippets=3000):
+    """Snippet scores expanded to frames and written with 6 decimals, as
+    score curves are: long runs of ties and many distinct values."""
+    values = np.round(rng.beta(0.5, 0.5, size=snippets), 6)
+    return np.repeat(values, rng.integers(1, 40, size=snippets))
+
+
 class TestVectorizedMatchesLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tie_heavy_six_decimal_scores(self, seed):
-        # snippet scores expanded to frames and written with 6 decimals, as
-        # score curves are: long runs of ties and many distinct values
         rng = np.random.default_rng(seed)
-        snippets = np.round(rng.beta(0.5, 0.5, size=3000), 6)
-        scores = np.repeat(snippets, rng.integers(1, 40, size=snippets.size))
+        scores = tie_heavy_scores(rng)
         labels = (rng.random(scores.size) < 0.3).astype(int)
-        ranks = metrics._average_ranks(*metrics._tie_groups(scores))
-        assert np.allclose(ranks, loop_average_ranks(scores), rtol=0,
-                           atol=1e-15)
-        assert abs(ap(scores, labels)
-                   - loop_average_precision(scores, labels)) <= 1e-15
+        got = auc_and_ap(scores, labels)
+        assert got == frame_level_auc_and_ap(scores, labels)
+        assert abs(got[0] - loop_auc(scores, labels)) <= 1e-15
+        assert abs(got[1] - loop_average_precision(scores, labels)) <= 1e-15
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_shared_sort_equals_separate_metrics(self, seed):
@@ -136,11 +167,46 @@ class TestVectorizedMatchesLoop:
                            1.0, 0.5000001])
         scores = np.repeat(rng.choice(values, size=400),
                            rng.integers(1, 5, size=400))
-        group, counts = metrics._tie_groups(scores)
-        _, expected_group, expected_counts = np.unique(
-            scores, return_inverse=True, return_counts=True)
-        assert np.array_equal(group, expected_group.ravel())
-        assert np.array_equal(counts, expected_counts)
+        labels = rng.integers(0, 2, size=scores.size)
+        assert auc_and_ap(scores, labels) == \
+            frame_level_auc_and_ap(scores, labels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_runs_equal_frame_level_pooled_and_per_video(self, seed):
+        """Counting runs of frames gives the frame-by-frame AUC and AP to
+        the bit, pooled and per video: tie-heavy 6-decimal scores, interval
+        edges inside runs of one score, runs of 0.0 and -0.0 side by side,
+        and one-frame runs."""
+        rng = np.random.default_rng(seed)
+        videos, frame_scores = [], {}
+        for i in range(6):
+            scores = tie_heavy_scores(rng, snippets=int(rng.integers(5, 200)))
+            if i % 3 == 1:  # signed zeros, alone and in runs
+                scores[rng.random(scores.size) < 0.2] = 0.0
+                scores[rng.random(scores.size) < 0.2] = -0.0
+            if i % 3 == 2:  # one frame per run
+                scores = np.round(rng.random(scores.size), 6)
+            n = scores.size
+            cuts = np.sort(rng.choice(np.arange(1, n), size=6, replace=False))
+            intervals = ([] if i == 0
+                         else [(int(a), int(b)) for a, b in cuts.reshape(3, 2)])
+            video = make_record(f"v{i}", int(bool(intervals)), n, intervals)
+            videos.append(video)
+            frame_scores[video.video_id] = scores
+            if intervals:
+                # some interval edge falls inside a run of one score
+                inside = [scores[a - 1] == scores[a] for a in cuts]
+                assert any(inside) or i % 3 == 2
+        report = metrics.evaluate(videos, frame_scores, per_video=True)
+        pooled = np.concatenate([frame_scores[v.video_id] for v in videos])
+        pooled_labels = np.concatenate(
+            [metrics.frame_ground_truth(v) for v in videos])
+        assert (report.auc, report.ap) == \
+            frame_level_auc_and_ap(pooled, pooled_labels)
+        for v in videos[1:]:
+            entry = report.per_video[v.video_id]
+            assert (entry["auc"], entry["ap"]) == frame_level_auc_and_ap(
+                frame_scores[v.video_id], metrics.frame_ground_truth(v))
 
     def test_shared_sort_keeps_degenerate_label_rules(self):
         with pytest.raises(DegenerateLabelsError, match="AUC"):
@@ -244,10 +310,8 @@ class TestAveragePrecision:
 
 
 def make_record(vid="v", label=1, n_frames=5, intervals=((2, 4),)):
-    clips = np.zeros((2, 3))
-    return VideoRecord(video_id=vid, label=label, n_frames=n_frames,
-                       clips=(clips, clips, clips),
-                       intervals=list(intervals))
+    return VideoEntry(video_id=vid, label=label, n_frames=n_frames,
+                      intervals=list(intervals))
 
 
 def per_frame_reference(video, scores) -> bytes:
