@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Digest of every output of a fixed pipeline: synth, train, an ablated
-train, score, and eval with per-video lines. Prints `sha256  path` for each
-file written, sorted by path, and one line for the eval output, so two
-versions of the code can be compared with `diff`.
+train, score, eval with per-video lines, and a small gradient check. Prints
+`sha256  path` for each file written, sorted by path, and one line each for
+the eval and gradcheck output, so two versions of the code can be compared
+with `diff`.
 
 Usage: python3 scripts/output_digest.py [out_dir] [--epochs N]
 
@@ -42,7 +43,9 @@ def main():
          "--out-dir", str(scores)],
         ["eval", "--scores-dir", str(scores),
          "--manifest", str(data / "test_manifest.csv"), "--per-video"],
+        ["gradcheck", "--d", "4"],
     ]
+    printed = {}  # command -> stdout
     for argv in steps:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -50,11 +53,13 @@ def main():
         if code != 0:
             sys.stdout.write(out.getvalue())
             sys.exit(code)
+        printed[argv[0]] = out.getvalue()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(root)}")
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    print(f"{digest}  (eval output)")
+    for command in ("eval", "gradcheck"):
+        digest = hashlib.sha256(printed[command].encode()).hexdigest()
+        print(f"{digest}  ({command} output)")
 
 
 if __name__ == "__main__":

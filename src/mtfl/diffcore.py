@@ -186,12 +186,7 @@ def relu(m: Node) -> Node:
     return m.tape._record(np.maximum(x, 0.0), [(m, lambda g: g * (x > 0))])
 
 
-def absolute(m: Node) -> Node:
-    x = m.value
-    return m.tape._record(np.abs(x), [(m, lambda g: g * np.sign(x))])
-
-
-def log_clamped(m: Node, lo: float = 1e-7, hi: float = 1.0 - 1e-7) -> Node:
+def log_clamped(m: Node, lo: float, hi: float) -> Node:
     """log of the input clamped into [lo, hi]; gradient is zero where clamped."""
     x = m.value
     clamped = np.clip(x, lo, hi)

@@ -130,16 +130,15 @@ def frame_numbers(n_frames: int) -> tuple[str, list[int]]:
 
 
 def export_score_curve(video: VideoEntry, frame_scores: np.ndarray, path,
-                       numbers=None):
+                       numbers: tuple[str, list[int]]):
     """One `frame,score,gt` line per frame, fixed 6-decimal formatting.
-    `numbers` is a `frame_numbers` column at least as long as the video;
-    it is built here if not given."""
+    `numbers` is a `frame_numbers` column at least as long as the video."""
     frame_scores = np.asarray(frame_scores, dtype=np.float64).ravel()
     n = video.n_frames
     if frame_scores.size != n:
         raise ValueError(
             f"{video.video_id}: {frame_scores.size} scores for {n} frames")
-    text, offsets = numbers or frame_numbers(n)
+    text, offsets = numbers
     gt = frame_ground_truth(video)
     # A run of frames that share score and gt is written with one replace.
     # Scores are compared by bit pattern, so that 0.0 and -0.0, which

@@ -175,20 +175,17 @@ def ff_fuse(z: Node, residual: Node, leaves) -> Node:
 
 
 def _dropout(x: Node, rate: float, rng) -> Node:
-    """Inverted dropout. `rng` is one generator for a single video, or a
-    sequence of generators, one per video of a batch, each drawing that
-    video's mask exactly as it would for the video alone."""
+    """Inverted dropout on a (B,T,H) batch. `rng` is a sequence of
+    generators, one per video, each drawing that video's mask exactly as it
+    would for the video alone."""
     if rate <= 0.0:
         return x
-    if isinstance(rng, np.random.Generator):
-        draw = rng.random(x.shape)
-    else:
-        if len(rng) != x.shape[0]:
-            raise ValueError(f"{len(rng)} dropout generators for a batch "
-                             f"of {x.shape[0]}")
-        draw = np.empty(x.shape)
-        for r, row in zip(rng, draw):
-            r.random(out=row)
+    if len(rng) != x.shape[0]:
+        raise ValueError(f"{len(rng)} dropout generators for a batch "
+                         f"of {x.shape[0]}")
+    draw = np.empty(x.shape)
+    for r, row in zip(rng, draw):
+        r.random(out=row)
     mask = np.divide(draw >= rate, 1.0 - rate, out=draw)
     return dc.hadamard(x, x.tape.constant(mask))
 
@@ -211,8 +208,9 @@ def forward(feats: np.ndarray, leaves: dict[str, Node],
 
     `feats` holds the short, medium and long timescales along its first
     axis: (3,T,D) for one video, or (3,B,T,D) for a batch of B videos that
-    run as one forward; X and the scores then carry the batch axis. Classifier dropout runs if and only if `rng` is
-    given: one dropout generator per video (a sequence for a batch).
+    run as one forward; X and the scores then carry the batch axis.
+    Classifier dropout runs if and only if `rng` is given, on a batch
+    only: a sequence of dropout generators, one per video.
 
     Disabled stages are bypassed: PFL passes the scale matrices through;
     with LTL (resp. GTL) off, the other branch's output is duplicated to

@@ -95,7 +95,7 @@ def temporal_regularizers(scores: Node) -> tuple[Node, Node]:
     t = scores.shape[-2]
     if t < 2:
         raise ValueError(f"need T >= 2 snippets, got {t}")
-    sparsity = dc.reduce(dc.absolute(scores), mode="sum")
+    sparsity = dc.reduce(scores, mode="sum")  # sigmoid scores: |s| is s
     diff = dc.sub(dc.slice_rows(scores, 1, t), dc.slice_rows(scores, 0, t - 1))
     smoothness = dc.reduce(dc.hadamard(diff, diff), mode="sum")
     return sparsity, smoothness

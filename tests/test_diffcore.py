@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from mtfl import diffcore as dc
 from mtfl.diffcore import Tape, backward, finite_diff_check
+from mtfl.objective import BCE_CLAMP
 
 
 def leaf_pair(a, b):
@@ -179,11 +180,8 @@ class TestBackward:
             tape = Tape()
             w = tape.leaf(np.zeros((3, 1)), name="w")
             s = dc.sigmoid(dc.matmul(tape.constant(x), w))
-            if y == 1:
-                loss = dc.scale(dc.log_clamped(s), -1.0)
-            else:
-                loss = dc.scale(dc.log_clamped(
-                    dc.sub(tape.constant([[1.0]]), s)), -1.0)
+            p = s if y == 1 else dc.sub(tape.constant([[1.0]]), s)
+            loss = dc.scale(dc.log_clamped(p, BCE_CLAMP, 1 - BCE_CLAMP), -1.0)
             grads = backward(loss)
             assert np.allclose(grads["w"].ravel(), (0.5 - y) * x.ravel(),
                                atol=1e-12)

@@ -322,11 +322,16 @@ def per_frame_reference(video, scores) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def export(video, scores, path):
+    metrics.export_score_curve(video, scores, path,
+                               metrics.frame_numbers(video.n_frames))
+
+
 class TestExportScoreCurve:
     def test_gt_column(self, tmp_path):
         v = make_record()
         path = tmp_path / "v.csv"
-        metrics.export_score_curve(v, np.linspace(0, 1, 5), path)
+        export(v, np.linspace(0, 1, 5), path)
         gts = [line.split(",")[2] for line in path.read_text().splitlines()]
         assert gts == ["0", "0", "1", "1", "0"]
 
@@ -336,7 +341,7 @@ class TestExportScoreCurve:
         snippet = np.array([0.25, 0.75])
         frames = expand_to_frames(snippet, 7)
         path = tmp_path / "v.csv"
-        metrics.export_score_curve(v, frames, path)
+        export(v, frames, path)
         written = [float(line.split(",")[1])
                    for line in path.read_text().splitlines()]
         assert np.allclose(written, frames, atol=5e-7)  # 6-decimal format
@@ -358,7 +363,7 @@ class TestExportScoreCurve:
             scores = rng.uniform(size=n).astype(np.float32)
         v = make_record(n_frames=n, intervals=((100, 900), (2000, 2001)))
         path = tmp_path / "v.csv"
-        metrics.export_score_curve(v, scores, path)
+        export(v, scores, path)
         assert path.read_bytes() == per_frame_reference(v, scores)
 
     @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 9999, 10000,
@@ -370,14 +375,14 @@ class TestExportScoreCurve:
                                              size=8), n)
         v = make_record(n_frames=n, intervals=((n // 3, n // 2 + 1),))
         path = tmp_path / "v.csv"
-        metrics.export_score_curve(v, scores, path)
+        export(v, scores, path)
         assert path.read_bytes() == per_frame_reference(v, scores)
 
     def test_gt_change_inside_run_of_equal_scores(self, tmp_path):
         v = make_record(n_frames=12, intervals=((3, 5), (8, 12)))
         scores = np.full(12, 0.25)
         path = tmp_path / "v.csv"
-        metrics.export_score_curve(v, scores, path)
+        export(v, scores, path)
         assert path.read_bytes() == per_frame_reference(v, scores)
         gts = [line.split(",")[2] for line in path.read_text().splitlines()]
         assert "".join(gts) == "000110001111"
@@ -396,8 +401,8 @@ class TestExportScoreCurve:
         v = make_record()
         scores = np.random.default_rng(0).uniform(size=5)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        metrics.export_score_curve(v, scores, a)
-        metrics.export_score_curve(v, scores, b)
+        export(v, scores, a)
+        export(v, scores, b)
         assert a.read_bytes() == b.read_bytes()
 
 

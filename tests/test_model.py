@@ -290,10 +290,10 @@ class TestClassify:
     def test_train_dropout_deterministic_given_rng(self):
         cfg = replace(TINY, dropout=0.5)
         params = model.init_params(cfg, 0)
-        feats = random_feats(cfg, 6)
+        feats = random_feats(cfg, 6)[:, None]  # a batch of one
         runs = []
         for _ in range(2):
-            rng = np.random.default_rng(11)
+            rng = [np.random.default_rng(11)]
             _, _, _, s = forward_with_leaves(cfg, params, feats, rng=rng)
             runs.append(s.value)
         assert np.array_equal(runs[0], runs[1])
@@ -354,20 +354,22 @@ class TestBatchedForward:
         b = 3
         batch = rng.standard_normal((3, b, cfg.t, cfg.d))
 
-        def dropout_rng(slot):
-            return (np.random.default_rng([7, slot]) if mode == "train"
-                    else None)
+        def dropout_rngs(slots):
+            return ([np.random.default_rng([7, slot]) for slot in slots]
+                    if mode == "train" else None)
 
-        _, _, xb, sb = forward_with_leaves(
-            cfg, params, batch,
-            [dropout_rng(i) for i in range(b)] if mode == "train" else None)
+        _, _, xb, sb = forward_with_leaves(cfg, params, batch,
+                                           dropout_rngs(range(b)))
         assert xb.value.shape == (b, cfg.t, cfg.d)
         assert sb.value.shape == (b, cfg.t, 1)
         for i in range(b):
-            _, _, x1, s1 = forward_with_leaves(cfg, params, batch[:, i],
-                                               dropout_rng(i))
-            assert np.allclose(xb.value[i], x1.value, rtol=1e-12, atol=1e-15)
-            assert np.allclose(sb.value[i], s1.value, rtol=1e-12, atol=1e-15)
+            # dropout takes a batch, so a video alone is a batch of one
+            _, _, x1, s1 = forward_with_leaves(cfg, params, batch[:, i:i + 1],
+                                               dropout_rngs([i]))
+            assert np.allclose(xb.value[i], x1.value[0], rtol=1e-12,
+                               atol=1e-15)
+            assert np.allclose(sb.value[i], s1.value[0], rtol=1e-12,
+                               atol=1e-15)
 
     def test_one_dropout_generator_per_video(self):
         cfg = replace(TINY, dropout=0.5)

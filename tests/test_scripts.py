@@ -49,5 +49,5 @@ def test_output_digest_is_reproducible(tmp_path):
                      "ablated/final.mtfc", "scores/test_normal_0000.csv",
                      "data/features/train_normal_0000_short.mtfb",
                      "data/train_manifest.csv", "data/test_manifest.csv",
-                     "(eval output)"):
+                     "(eval output)", "(gradcheck output)"):
         assert expected in paths, runs[0].stdout

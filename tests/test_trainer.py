@@ -573,11 +573,11 @@ class TestScoreVideos:
 
 
 def stack_videos(nodes):
-    """Per-video (T, D) nodes as one (B, T, D) node on the same tape."""
+    """Per-video (1, T, D) nodes as one (B, T, D) node on the same tape."""
     from mtfl import diffcore as dc
 
     flat = dc.concat_cols([dc.reshape(n, (1, n.value.size)) for n in nodes])
-    return dc.reshape(flat, (len(nodes),) + nodes[0].shape)
+    return dc.reshape(flat, (len(nodes),) + nodes[0].shape[1:])
 
 
 class TestGradientStaging:
@@ -616,10 +616,11 @@ class TestGradientStaging:
             leaves = {n: tape.leaf(v, name=n) for n, v in params.items()}
             xs, ss = [], []
             for slot, i in enumerate(indices):
-                rng = (np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, step, slot]))
+                rng = ([np.random.default_rng(
+                    np.random.SeedSequence([cfg.seed, step, slot]))]
                     if mode == "train" else None)
-                _, x, s = M.forward(feats[:, i], leaves, cfg.model, rng=rng)
+                _, x, s = M.forward(feats[:, i:i + 1], leaves, cfg.model,
+                                    rng=rng)
                 xs.append(x)
                 ss.append(s)
             total, _ = objective.total_loss(stack_videos(xs), stack_videos(ss),
