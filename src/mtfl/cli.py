@@ -56,7 +56,7 @@ def _config_keys(p: argparse.ArgumentParser) -> dict[str, type]:
     value: every flag but --config and --help (a switch takes a bool), and
     every key set only by `set_defaults`: `hidden`, a ModelConfig field."""
     hints = get_type_hints(ModelConfig)
-    keys = {k: hints[k] for k in p._defaults if k != "func"}
+    keys = {k: hints[k] for k in p._defaults}
     for a in p._actions:
         if a.option_strings and a.dest not in ("help", "config"):
             keys[a.dest] = bool if a.nargs == 0 else a.type or str
@@ -64,10 +64,11 @@ def _config_keys(p: argparse.ArgumentParser) -> dict[str, type]:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse `argv`. With --config, parse it again with the file's values
-    as the subcommand's defaults: flag > config file > default. A key that
-    no subcommand reads is an error; a key of another subcommand is
+    """Parse `argv`. With --config, the subcommand parses its arguments again
+    into a namespace of the file's values: flag > config file > default. A
+    key that no subcommand reads is an error; a key of another subcommand is
     ignored, so one file can serve several."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
@@ -87,9 +88,10 @@ def parse_args(argv=None) -> argparse.Namespace:
         raise CliError(f"config file: unknown key(s) {', '.join(unknown)}")
     p = commands[args.command]
     keys = _config_keys(p)
-    p.set_defaults(**{name: _from_config(name, value, keys[name])
-                      for name, value in blob.items() if name in keys})
-    return parser.parse_args(argv)
+    config = argparse.Namespace(command=args.command, **{
+        name: _from_config(name, value, keys[name])
+        for name, value in blob.items() if name in keys})
+    return p.parse_args(argv[argv.index(args.command) + 1:], config)
 
 
 def _cmd_train(args):
@@ -240,62 +242,69 @@ def _cmd_synth(args):
 
 
 def _cmd_gradcheck(args):
-    report = gradcheck_full_model(t=args.t, d=args.d, heads=args.heads,
-                                  seed=args.seed)
+    report = gradcheck_full_model(d=args.d, heads=args.heads, seed=args.seed)
     status = "PASS" if report.passed else "FAIL"
     print(f"max relative error {report.max_rel_error:.3e} "
           f"(worst {report.worst_coordinate or 'n/a'}): {status}")
     return 0 if report.passed else 1
 
 
-# What `gradcheck` runs with: a small classifier, loss weights that let every
-# term move the gradients, the central-difference step, and the largest
-# relative error that passes.
+# What `gradcheck` runs with: a small classifier, snippets per video, loss
+# weights that let every term move the gradients, the central-difference
+# step, and the largest relative error that passes.
 GRADCHECK_HIDDEN = (6, 4)
+GRADCHECK_T = 8
 GRADCHECK_LOSS = LossWeights(lambda_fm=0.05, lambda1=0.05, lambda2=0.05,
                              margin=3.0, k=2)
 GRADCHECK_EPS = 1e-5
 GRADCHECK_TOL = 1e-4
 
 
-def gradcheck_full_model(t, d, heads, seed):
+def gradcheck_point(mcfg: ModelConfig, seed: int):
+    """The features of two normal, then two abnormal videos, and parameters
+    whose biases are drawn from U(-0.3, 0.3): at their initial zeros a ReLU
+    input can sit at its kink, where a central difference fails."""
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((3, 4, mcfg.t, mcfg.d))
+    return feats, {
+        name: rng.uniform(-0.3, 0.3, p.shape) if name.endswith("_b") else p
+        for name, p in model.init_params(mcfg, seed).items()}
+
+
+def gradcheck_full_model(d, heads, seed):
     """Finite-difference check through the whole network plus the full
-    four-term objective on a four-video batch, dropout off. The loss is
-    built by `trainer.batch_loss`, the same function training runs."""
+    four-term objective at `gradcheck_point`, dropout off. The loss is built
+    by `trainer.batch_loss`, the same function training runs."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    mcfg = ModelConfig(d=d, t=t, heads=heads, hidden=GRADCHECK_HIDDEN,
-                       dropout=0.0)
-    rng = np.random.default_rng(seed)
-    labels = [0, 0, 1, 1]
-    feats = rng.standard_normal((3, len(labels), t, d))
-    params = model.init_params(mcfg, seed)
+    mcfg = ModelConfig(d=d, t=GRADCHECK_T, heads=heads,
+                       hidden=GRADCHECK_HIDDEN, dropout=0.0)
+    feats, params = gradcheck_point(mcfg, seed)
 
     def build(p):
-        total, _ = trainer.batch_loss(p, feats, labels, mcfg, GRADCHECK_LOSS)
-        return total
+        return trainer.batch_loss(p, feats, mcfg, GRADCHECK_LOSS)[0]
 
     return finite_diff_check(build, params, eps=GRADCHECK_EPS,
                              tol=GRADCHECK_TOL, seed=seed)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The subcommands and their flags. Each flag's default is written once:
-    here, or in the config field the flag sets. `mtfl <command> --help`
-    prints the defaults."""
+    """The subcommands and their flags, built once and never changed. Each
+    flag's default is written once: here, or in the config field the flag
+    sets. `mtfl <command> --help` prints the defaults."""
     parser = argparse.ArgumentParser(
         prog="mtfl", description="Multi-timescale anomaly detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, help):
         p = sub.add_parser(
             name, help=help,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help="JSON file of flag values")
-        p.set_defaults(func=func)
         return p
 
-    p = command("train", _cmd_train, "train a model from a manifest")
+    p = command("train", "train a model from a manifest")
     p.add_argument("--manifest", help="training manifest (required)")
     p.add_argument("--out-dir", help="checkpoint and loss-log directory "
                    "(required)")
@@ -334,18 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="steps between checkpoints; 0: final only")
     p.set_defaults(hidden=ModelConfig.hidden)  # set by config file only
 
-    p = command("score", _cmd_score, "score a manifest with a checkpoint")
+    p = command("score", "score a manifest with a checkpoint")
     p.add_argument("--checkpoint", help="checkpoint to score with (required)")
     p.add_argument("--manifest", help="manifest to score (required)")
     p.add_argument("--out-dir", help="score-curve directory (required)")
 
-    p = command("eval", _cmd_eval, "frame-level AUC/AP from score curves")
+    p = command("eval", "frame-level AUC/AP from score curves")
     p.add_argument("--scores-dir", help="score-curve directory (required)")
     p.add_argument("--manifest", help="test manifest (required)")
     p.add_argument("--per-video", action="store_true",
                    help="also print AUC/AP per video")
 
-    p = command("synth", _cmd_synth, "generate a synthetic dataset")
+    p = command("synth", "generate a synthetic dataset")
     p.add_argument("--out-dir", help="dataset directory (required)")
     p.add_argument("--normal", type=int, default=SynthConfig.n_normal_train,
                    help="normal training videos")
@@ -366,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=SynthConfig.noise_scale,
                    help="noise scale")
 
-    p = command("gradcheck", _cmd_gradcheck,
-                "finite-difference gradient check")
-    p.add_argument("--t", type=int, default=8, help="snippets per video")
+    p = command("gradcheck", "finite-difference gradient check")
     p.add_argument("--d", type=int, default=8, help="feature dimension")
     p.add_argument("--heads", type=int, default=2, help="attention heads")
     p.add_argument("--seed", type=int, default=0, help="data and init seed")
@@ -397,12 +404,12 @@ def _keep_freed_heap() -> bool:
 
 
 def run(argv=None) -> int:
-    """Run one command. Exception kinds map to exit codes here, and only
-    here."""
+    """Run one command: `_cmd_<command>`, looked up when it runs. Exception
+    kinds map to exit codes here, and only here."""
     _keep_freed_heap()
     try:
         args = parse_args(argv)
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except SystemExit as e:  # from argparse: --help, or a bad flag
         return 0 if e.code in (0, None) else 1
     except KeyboardInterrupt:

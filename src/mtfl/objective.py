@@ -3,9 +3,10 @@
 Four terms: top-k video-level binary cross-entropy, a paired hinge on
 top-k snippet feature magnitudes (abnormal above normal by a margin), and
 sparsity / temporal-smoothness penalties on the snippet scores of
-abnormal videos. Each term is computed for every video of a (B,T,...)
-batch at once and combined across videos by a constant weight matrix, so
-the tape does not grow with B.
+abnormal videos. A batch is n normal videos, then n abnormal ones, paired
+by position: the layout of RTFM's reference code. Each term is computed
+for every video of a (2n,T,...) batch at once and combined across videos
+by a constant weight matrix, so the tape does not grow with n.
 """
 
 from __future__ import annotations
@@ -53,39 +54,27 @@ def _combine(per_video: Node, weights: np.ndarray) -> Node:
     return dc.matmul(per_video.tape.constant(weights), col)
 
 
-def video_bce(scores: Node, labels, k: int) -> Node:
+def video_bce(scores: Node, k: int) -> Node:
     """Batch-mean BCE on the top-k mean score of each video; `scores` is
-    (B,T,1)."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.size == 0:
-        raise ValueError("empty batch")
-    if scores.shape[:-2] != labels.shape:
-        raise ValueError("scores/labels length mismatch")
+    (2n,T,1), n normal videos then n abnormal ones."""
+    n = scores.shape[0] // 2
     sigma = dc.topk_mean(scores, k)
     # sigma for an abnormal video, 1 - sigma for a normal one (both exact)
-    y = labels.reshape(-1, 1, 1)
+    y = np.repeat([0.0, 1.0], n).reshape(-1, 1, 1)
     tape = sigma.tape
     p = dc.add(dc.hadamard(sigma, tape.constant(2.0 * y - 1.0)),
                tape.constant(1.0 - y))
     terms = dc.scale(dc.log_clamped(p, BCE_CLAMP, 1 - BCE_CLAMP), -1.0)
-    return _combine(terms, np.full((1, labels.size), 1.0 / labels.size))
+    return _combine(terms, np.full((1, 2 * n), 1.0 / (2 * n)))
 
 
-def feature_magnitude_loss(x: Node, labels, k: int, margin: float) -> Node:
-    """Paired hinge on top-k mean row norms of the (B,T,D) features: the
-    i-th abnormal video of the batch against the i-th normal one."""
-    labels = np.asarray(labels)
-    pos = np.flatnonzero(labels == 1)
-    neg = np.flatnonzero(labels == 0)
-    if len(pos) != len(neg) or not len(pos):
-        raise ValueError(
-            f"paired batch required: {len(pos)} abnormal vs {len(neg)} normal")
+def feature_magnitude_loss(x: Node, k: int, margin: float) -> Node:
+    """Paired hinge on top-k mean row norms of the (2n,T,D) features: the
+    i-th abnormal video of the batch, at n + i, against the i-th normal one."""
+    n = x.shape[0] // 2
     magnitudes = dc.topk_mean(dc.row_norms(x), k)
     # row i picks normal_i minus abnormal_i
-    pairs = np.zeros((len(pos), labels.size))
-    pairs[np.arange(len(pos)), neg] = 1.0
-    pairs[np.arange(len(pos)), pos] = -1.0
-    gap = _combine(magnitudes, pairs)
+    gap = _combine(magnitudes, np.eye(n, 2 * n) - np.eye(n, 2 * n, n))
     hinge = dc.relu(dc.add(gap.tape.constant(np.full(gap.shape, margin)), gap))
     return dc.reduce(hinge, mode="mean")
 
@@ -101,32 +90,25 @@ def temporal_regularizers(scores: Node) -> tuple[Node, Node]:
     return sparsity, smoothness
 
 
-def total_loss(x: Node, scores: Node, labels,
+def total_loss(x: Node, scores: Node,
                weights: LossWeights) -> tuple[Node, LossBreakdown]:
-    """Compose the full objective over one class-paired batch.
+    """Compose the full objective over one batch of n normal videos, then n
+    abnormal ones, paired by position.
 
-    `x` holds the fused (B,T,D) features and `scores` the (B,T,1) snippet
-    scores of the batch, aligned with `labels`. Every term is computed per
-    video inside batched ops. Returns the scalar loss node plus the term
-    values; the breakdown total is composed with the same float arithmetic
-    as the node.
+    `x` holds the fused (2n,T,D) features and `scores` the (2n,T,1) snippet
+    scores of the batch. Every term is computed per video inside batched
+    ops. Returns the scalar loss node plus the term values; the breakdown
+    total is composed with the same float arithmetic as the node.
     """
-    labels = np.asarray(labels)
-    if x.shape[:-2] != labels.shape or scores.shape[:-2] != labels.shape:
-        raise ValueError(f"batch of {labels.size} labels does not match "
+    n, odd = divmod(x.shape[0], 2)
+    if odd or scores.shape[0] != x.shape[0]:
+        raise ValueError(f"a batch is n normal then n abnormal videos: got "
                          f"features {x.shape} and scores {scores.shape}")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if not n_pos or not n_neg:
-        raise ValueError("batch must contain both an abnormal and a normal video")
-    if n_pos != n_neg:
-        raise ValueError(
-            f"batch must pair classes equally: {n_pos} abnormal vs {n_neg} normal")
 
-    bce = video_bce(scores, labels, weights.k)
-    fm = feature_magnitude_loss(x, labels, weights.k, weights.margin)
+    bce = video_bce(scores, weights.k)
+    fm = feature_magnitude_loss(x, weights.k, weights.margin)
     sp, sm = temporal_regularizers(scores)
-    abnormal_mean = (labels == 1).reshape(1, -1) / n_pos
+    abnormal_mean = np.repeat([0.0, 1.0 / n], n).reshape(1, -1)
     sparsity = _combine(sp, abnormal_mean)
     smoothness = _combine(sm, abnormal_mean)
 

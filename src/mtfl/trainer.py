@@ -127,32 +127,32 @@ def _video_rng(seed: int, step: int, video_index: int) -> np.random.Generator:
 
 
 def batch_loss(params: dict[str, np.ndarray], feats: np.ndarray,
-               labels, model_cfg: ModelConfig, weights: LossWeights,
+               model_cfg: ModelConfig, weights: LossWeights,
                rngs=None) -> tuple[Node, LossBreakdown]:
     """The objective over one batch, built on a single tape from one
-    forward over the (3,B,T,D) snippet tensor `feats`: the parameters
-    become leaves once. Dropout runs if and only if `rngs`, one dropout
-    generator per video, is given."""
+    forward over the (3,2n,T,D) snippet tensor `feats` of n normal videos,
+    then n abnormal ones: the parameters become leaves once. Dropout runs
+    if and only if `rngs`, one dropout generator per video, is given."""
     tape = Tape()
     leaves = {name: tape.leaf(value, name=name)
               for name, value in params.items()}
     _, x, scores = model_mod.forward(feats, leaves, model_cfg, rng=rngs)
-    return objective.total_loss(x, scores, labels, weights)
+    return objective.total_loss(x, scores, weights)
 
 
-def batch_gradients(feats: np.ndarray, labels: np.ndarray,
-                    indices: list[int], params: dict[str, np.ndarray],
-                    cfg: TrainConfig, step: int):
-    """Loss gradients for the batch `indices` of a dataset whose (3,N,T,D)
-    snippet tensor is `feats` and labels `labels`, from a single reverse
-    sweep. Each batch slot has its own dropout generator, drawn from
-    (seed, step, slot).
+def batch_gradients(feats: np.ndarray, indices: list[int],
+                    params: dict[str, np.ndarray], cfg: TrainConfig,
+                    step: int):
+    """Loss gradients for the batch `indices` (n normal videos, then n
+    abnormal ones) of a dataset whose (3,N,T,D) snippet tensor is `feats`,
+    from a single reverse sweep. Each batch slot has its own dropout
+    generator, drawn from (seed, step, slot).
 
     Returns (grads, LossBreakdown).
     """
     rngs = [_video_rng(cfg.seed, step, slot) for slot in range(len(indices))]
-    total, breakdown = batch_loss(params, feats[:, indices], labels[indices],
-                                  cfg.model, cfg.loss, rngs)
+    total, breakdown = batch_loss(params, feats[:, indices], cfg.model,
+                                  cfg.loss, rngs)
     return backward(total), breakdown
 
 
@@ -170,7 +170,6 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
     `log_path` is given. Deterministic in (dataset, cfg, seed).
     """
     feats = snippet_tensors(dataset.videos, cfg.model.t)
-    labels = np.array([v.label for v in dataset.videos])
     params = model_mod.init_params(cfg.model, cfg.seed)
     state = AdamState.zeros_like(params)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C4]))
@@ -184,9 +183,8 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
         for _epoch in range(cfg.epochs):
             for _ in range(per_epoch):
                 normal, abnormal = sample_batch(dataset, rng, cfg.batch_half)
-                indices = normal + abnormal
                 grads, breakdown = batch_gradients(
-                    feats, labels, indices, params, cfg, step)
+                    feats, normal + abnormal, params, cfg, step)
                 if not np.isfinite(breakdown.total):
                     raise RuntimeError(
                         f"non-finite loss {breakdown.total} at step {step}")

@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import os
 import shutil
@@ -15,11 +16,12 @@ import numpy as np
 import pytest
 
 import mtfl
-from mtfl import cli, dataio
+from mtfl import cli, dataio, trainer
 from mtfl.cli import (CliError, _read_curve_scores, build_parser, parse_args,
                       run)
 from mtfl.container import FormatError
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
+from mtfl.diffcore import finite_diff_check
 from mtfl.model import ModelConfig
 from mtfl.objective import LossWeights
 from mtfl.trainer import TrainConfig
@@ -196,6 +198,41 @@ class TestGradcheckCommand:
         code, out, _ = run_capture(capsys, ["gradcheck", "--d", "4"])
         assert code == 1
         assert "FAIL" in out
+
+    def test_passes_where_zero_biases_meet_the_relu_kink(self, capsys):
+        """At seed 3 the initial zero biases leave a classifier input at
+        exactly 0, where `relu` has no derivative; the drawn biases do not."""
+        code, out, _ = run_capture(capsys, ["gradcheck", "--seed", "3"])
+        assert code == 0, out
+        assert "PASS" in out
+
+
+STAGES = ("pfl", "ltl", "gtl", "ff")
+
+
+@pytest.mark.parametrize("dropout,stages", [
+    *((0.0, on) for n in range(5) for on in itertools.combinations(STAGES, n)),
+    (0.5, STAGES),
+], ids=lambda v: "+".join(v) or "none" if isinstance(v, tuple)
+    else f"dropout={v}")
+def test_gradcheck_every_stage_switch_and_dropout(dropout, stages):
+    """`gradcheck`'s check, at D=4 and seed 0, with each set of stages on
+    and with dropout: the loss through `trainer.batch_loss`, at
+    `gradcheck_point`. Each build makes fresh dropout generators per slot,
+    so it is one function of the parameters."""
+    mcfg = ModelConfig(d=4, t=cli.GRADCHECK_T, heads=2,
+                       hidden=cli.GRADCHECK_HIDDEN, dropout=dropout,
+                       **{f"use_{s}": s in stages for s in STAGES})
+    feats, params = cli.gradcheck_point(mcfg, 0)
+
+    def build(p):
+        rngs = ([np.random.default_rng(slot) for slot in range(4)]
+                if dropout else None)
+        return trainer.batch_loss(p, feats, mcfg, cli.GRADCHECK_LOSS, rngs)[0]
+
+    report = finite_diff_check(build, params, eps=cli.GRADCHECK_EPS,
+                               tol=cli.GRADCHECK_TOL)
+    assert report.passed, (report.max_rel_error, report.worst_coordinate)
 
 
 class TestSynthCommand:
@@ -798,7 +835,7 @@ def test_settable_value_count():
              for f in fields(cls)]
     count = sum(not is_dataclass(kind) for kind in hints)
     count += len(inspect.signature(cli.gradcheck_full_model).parameters)
-    assert count == 32
+    assert count == 31
 
 
 class TestConfigFilePrecedence:
@@ -873,6 +910,16 @@ class TestConfigFilePrecedence:
         assert parsed(None, on_line(flag, one)) == one
         assert parsed(one, []) == one
         assert parsed(other, on_line(flag, one)) == one
+
+    def test_config_values_reach_only_their_own_parse(self, tmp_path):
+        """The parser is built once: a config file's values must not become
+        the defaults of a later parse without it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 4, "epochs": 3}))
+        assert parse_args(["gradcheck", "--config", str(cfg)]).d == 4
+        assert parse_args(["train", "--config", str(cfg)]).epochs == 3
+        assert parse_args(["gradcheck"]).d == 8
+        assert parse_args(["train"]).epochs == TrainConfig.epochs
 
     def test_unknown_key_rejected_before_writing(self, tmp_path, capsys):
         data = small_synth(tmp_path)

@@ -595,21 +595,18 @@ class TestGradientStaging:
         assert cfg.model.dropout > 0
         params = M.init_params(cfg.model, 3)
         feats = snippet_tensors(ds.videos, cfg.model.t)
-        all_labels = np.array([v.label for v in ds.videos])
         indices = [0, 1, 4, 5]
-        labels = all_labels[indices]
-        assert sorted(labels) == [0, 0, 1, 1]
+        assert [ds.videos[i].label for i in indices] == [0, 0, 1, 1]
 
         def eval_gradients():
-            total, _ = trainer.batch_loss(params, feats[:, indices], labels,
+            total, _ = trainer.batch_loss(params, feats[:, indices],
                                           cfg.model, cfg.loss)
             return backward(total)
 
         for mode, step in (("eval", 0), ("train", 6)):
             if mode == "train":
-                staged, _ = trainer.batch_gradients(feats, all_labels,
-                                                    indices, params, cfg,
-                                                    step=step)
+                staged, _ = trainer.batch_gradients(feats, indices, params,
+                                                    cfg, step=step)
             else:
                 staged = eval_gradients()
             tape = Tape()
@@ -624,7 +621,7 @@ class TestGradientStaging:
                 xs.append(x)
                 ss.append(s)
             total, _ = objective.total_loss(stack_videos(xs), stack_videos(ss),
-                                            labels, cfg.loss)
+                                            cfg.loss)
             mono = backward(total)
             assert staged.keys() == mono.keys()
             for k in params:
@@ -644,10 +641,9 @@ class TestGradientStaging:
         for half in (2, 8):
             feats = rng.standard_normal((3, 2 * half, cfg.model.t,
                                          cfg.model.d))
-            labels = [0] * half + [1] * half
             rngs = [np.random.default_rng(i) for i in range(2 * half)]
-            total, _ = trainer.batch_loss(params, feats, labels, cfg.model,
-                                          cfg.loss, rngs)
+            total, _ = trainer.batch_loss(params, feats, cfg.model, cfg.loss,
+                                          rngs)
             lengths.append(len(total.tape.nodes))
         assert lengths[0] == lengths[1]
         # one tape of batched ops, not one forward per video
@@ -673,7 +669,6 @@ class TestAllocation:
         cfg = TrainConfig(model=ModelConfig(d=16, t=32), batch_half=8,
                           seed=1)
         feats = snippet_tensors(ds.videos, cfg.model.t)
-        labels = np.array([v.label for v in ds.videos])
         params = model_mod.init_params(cfg.model, cfg.seed)
         state = AdamState.zeros_like(params)
         rng = np.random.default_rng(0)
@@ -682,7 +677,7 @@ class TestAllocation:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             normal, abnormal = sample_batch(ds, rng, cfg.batch_half)
             grads, _ = trainer.batch_gradients(
-                feats, labels, normal + abnormal, params, cfg, step)
+                feats, normal + abnormal, params, cfg, step)
             params = adam_step(params, grads, state, cfg)
             faults.append(
                 resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
