@@ -23,7 +23,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import dataio, metrics, model, trainer
-from .container import FormatError
+from .container import FormatError, input_file
 from .dataio import SynthConfig
 from .diffcore import finite_diff_check
 from .model import ModelConfig
@@ -73,7 +73,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    with open(args.config, encoding="utf-8") as f:
+    with open(input_file(args.config), encoding="utf-8") as f:
         try:
             blob = json.load(f)
         except ValueError as e:  # not JSON, or not UTF-8
@@ -161,8 +161,8 @@ def _read_curve_scores(path) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty file
-            return np.loadtxt(path, delimiter=",", usecols=1, ndmin=1,
-                              comments=None, dtype=np.float64,
+            return np.loadtxt(input_file(path), delimiter=",", usecols=1,
+                              ndmin=1, comments=None, dtype=np.float64,
                               encoding="utf-8")
     except ValueError:
         return _read_curve_lines(path)
@@ -220,19 +220,12 @@ def _cmd_eval(args):
 def _cmd_synth(args):
     if args.out_dir is None:
         raise CliError("synth requires --out-dir")
-    test_normal, test_abnormal = args.test_normal, args.test_abnormal
-    if test_normal is None:
-        test_normal = max(1, args.normal // 4)
-    if test_abnormal is None:
-        test_abnormal = max(1, args.abnormal // 4)
     cfg = SynthConfig(
         n_normal_train=args.normal,
         n_abnormal_train=args.abnormal,
-        n_normal_test=test_normal,
-        n_abnormal_test=test_abnormal,
+        n_normal_test=max(1, args.normal // 4),
+        n_abnormal_test=max(1, args.abnormal // 4),
         d=args.d,
-        boost=args.boost,
-        noise_scale=args.noise,
     )
     train_ds, test_ds = dataio.synth_generate(cfg, args.seed,
                                               out_dir=args.out_dir)
@@ -242,18 +235,19 @@ def _cmd_synth(args):
 
 
 def _cmd_gradcheck(args):
-    report = gradcheck_full_model(d=args.d, heads=args.heads, seed=args.seed)
+    report = gradcheck_full_model(d=args.d, seed=args.seed)
     status = "PASS" if report.passed else "FAIL"
     print(f"max relative error {report.max_rel_error:.3e} "
           f"(worst {report.worst_coordinate or 'n/a'}): {status}")
     return 0 if report.passed else 1
 
 
-# What `gradcheck` runs with: a small classifier, snippets per video, loss
-# weights that let every term move the gradients, the central-difference
-# step, and the largest relative error that passes.
+# What `gradcheck` runs with: a small classifier, snippets per video,
+# attention heads, loss weights that let every term move the gradients, the
+# central-difference step, and the largest relative error that passes.
 GRADCHECK_HIDDEN = (6, 4)
 GRADCHECK_T = 8
+GRADCHECK_HEADS = 2
 GRADCHECK_LOSS = LossWeights(lambda_fm=0.05, lambda1=0.05, lambda2=0.05,
                              margin=3.0, k=2)
 GRADCHECK_EPS = 1e-5
@@ -271,13 +265,13 @@ def gradcheck_point(mcfg: ModelConfig, seed: int):
         for name, p in model.init_params(mcfg, seed).items()}
 
 
-def gradcheck_full_model(d, heads, seed):
+def gradcheck_full_model(d, seed):
     """Finite-difference check through the whole network plus the full
     four-term objective at `gradcheck_point`, dropout off. The loss is built
     by `trainer.batch_loss`, the same function training runs."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    mcfg = ModelConfig(d=d, t=GRADCHECK_T, heads=heads,
+    mcfg = ModelConfig(d=d, t=GRADCHECK_T, heads=GRADCHECK_HEADS,
                        hidden=GRADCHECK_HIDDEN, dropout=0.0)
     feats, params = gradcheck_point(mcfg, seed)
 
@@ -357,27 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("synth", "generate a synthetic dataset")
     p.add_argument("--out-dir", help="dataset directory (required)")
     p.add_argument("--normal", type=int, default=SynthConfig.n_normal_train,
-                   help="normal training videos")
+                   help="normal training videos; max(1, normal // 4) "
+                   "normal test videos")
     p.add_argument("--abnormal", type=int,
                    default=SynthConfig.n_abnormal_train,
-                   help="abnormal training videos")
-    p.add_argument("--test-normal", type=int,
-                   help="normal test videos; max(1, normal // 4) "
-                   "if not given")
-    p.add_argument("--test-abnormal", type=int,
-                   help="abnormal test videos; max(1, abnormal // 4) "
-                   "if not given")
+                   help="abnormal training videos; max(1, abnormal // 4) "
+                   "abnormal test videos")
     p.add_argument("--d", type=int, default=SynthConfig.d,
                    help="feature dimension")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--boost", type=float, default=SynthConfig.boost,
-                   help="anomaly mean shift")
-    p.add_argument("--noise", type=float, default=SynthConfig.noise_scale,
-                   help="noise scale")
 
     p = command("gradcheck", "finite-difference gradient check")
     p.add_argument("--d", type=int, default=8, help="feature dimension")
-    p.add_argument("--heads", type=int, default=2, help="attention heads")
     p.add_argument("--seed", type=int, default=0, help="data and init seed")
     return parser
 

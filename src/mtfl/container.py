@@ -6,6 +6,8 @@ error names the file.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 
@@ -68,10 +70,19 @@ class Reader:
                 f"after byte {self.pos}")
 
 
+def input_file(path):
+    """`path`, if it names a regular file. A FIFO, a device or a directory
+    is a FormatError: reading one can block or never end. A missing path
+    raises the OSError of `os.stat`."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise FormatError(f"{path}: not a regular file")
+    return path
+
+
 def open_container(path, magic: bytes, version: int) -> Reader:
     """Read the file at `path` with one `read`, check its magic and
     version, and return a Reader standing at the first byte of the body."""
-    with open(path, "rb") as f:
+    with open(input_file(path), "rb") as f:
         r = Reader(f.read(), path)
     if r.raw[:4] != magic:
         raise BadMagicError(f"{path}: bad magic {bytes(r.raw[:4])!r}")

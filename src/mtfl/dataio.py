@@ -12,20 +12,22 @@ where intervals is `s1:e1;s2:e2;...` (half-open frame ranges) or empty.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .container import NonFiniteError, frame, open_container
+from .container import NonFiniteError, frame, input_file, open_container
 
 MAGIC = b"MTFB"
 VERSION = 1
 TUBELET_LENGTHS = {"short": 8, "medium": 32, "long": 64}
 # Range of the share of an abnormal synthetic video that is anomalous.
 ANOMALY_FRACTION = (0.2, 0.5)
+# Mean shift of a fully anomalous synthetic clip along the anomaly direction,
+# against unit-variance noise.
+ANOMALY_BOOST = 3.0
 
 
 class ManifestError(ValueError):
@@ -146,7 +148,7 @@ def _parse_manifest(path, split):
     video's line number and feature-file paths, as written."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        lines = input_file(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as e:
         raise ManifestError(f"{path}: not UTF-8: {e}") from None
     videos, sources = [], []
@@ -234,16 +236,8 @@ class SynthConfig:
     n_abnormal_test: int = 10
     d: int = 16
     frames_range: tuple[int, int] = (256, 768)
-    boost: float = 3.0
-    noise_scale: float = 1.0
 
     def __post_init__(self):
-        # Chained comparisons are false for NaN, so NaN is rejected too.
-        if not 0 < self.boost < math.inf:
-            raise ValueError(f"boost must be finite and > 0, got {self.boost}")
-        if not 0 <= self.noise_scale < math.inf:
-            raise ValueError(f"noise must be finite and >= 0, got "
-                             f"{self.noise_scale}")
         for name in ("n_normal_train", "n_abnormal_train",
                      "n_normal_test", "n_abnormal_test", "d"):
             if getattr(self, name) < 1:
@@ -269,8 +263,8 @@ def _synth_video(rng, cfg: SynthConfig, direction, video_id, label, with_interva
         # Each clip's anomaly share: an exact 0/1 count over its length.
         starts = np.arange(0, n_frames, ell)
         share = np.add.reduceat(z, starts) / np.diff(starts, append=n_frames)
-        feats = rng.standard_normal((starts.size, cfg.d)) * cfg.noise_scale
-        feats += (cfg.boost * share)[:, None] * direction
+        feats = rng.standard_normal((starts.size, cfg.d))
+        feats += (ANOMALY_BOOST * share)[:, None] * direction
         clips.append(feats.astype(np.float32).astype(np.float64))
     return VideoRecord(video_id, label, n_frames,
                        intervals if (label == 1 and with_intervals) else [],
@@ -279,8 +273,8 @@ def _synth_video(rng, cfg: SynthConfig, direction, video_id, label, with_interva
 
 def synth_generate(cfg: SynthConfig, seed: int, out_dir=None):
     """Deterministic synthetic train/test datasets; anomalous clips carry a
-    mean shift of `boost` along one fixed unit direction. Writes feature
-    files plus train/test manifests when `out_dir` is given."""
+    mean shift of ANOMALY_BOOST along one fixed unit direction. Writes
+    feature files plus train/test manifests when `out_dir` is given."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

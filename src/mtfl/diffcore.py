@@ -3,7 +3,7 @@
 A value on the tape is a float array of two or more axes. The last two axes
 are the matrix (scalars are 1x1); any leading axes are a batch, such as one
 matrix per video, and a 2-D value is simply a batch of none. Row-wise ops
-(softmax, norms, slices, concatenation, the temporal convolution) act on
+(softmax, norms, concatenation, the temporal convolution) act on
 each matrix of a batch on its own; `topk_mean` and `reduce` give one value
 per matrix. `linear` applies a 2-D weight and a 1xE bias to every row of
 a batch, and its backward sums their gradients over every row.
@@ -130,15 +130,6 @@ def add(a: Node, b: Node) -> Node:
     return _tape_of(a, b)._record(a.value + b.value, [
         (a, lambda g: g),
         (b, lambda g: g),
-    ])
-
-
-def sub(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"sub shape mismatch: {a.value.shape} vs {b.value.shape}")
-    return _tape_of(a, b)._record(a.value - b.value, [
-        (a, lambda g: g),
-        (b, lambda g: -g),
     ])
 
 
@@ -269,17 +260,6 @@ def concat_cols(nodes: Sequence[Node]) -> Node:
         parents.append((n, lambda g, j0=j0, j1=j1: g[..., j0:j1]))
         start = j1
     return _tape_of(*nodes)._record(out, parents)
-
-
-def slice_rows(m: Node, i0: int, i1: int) -> Node:
-    x = m.value
-
-    def vjp(g):
-        full = np.zeros_like(x)
-        full[..., i0:i1, :] = g
-        return full
-
-    return m.tape._record(x[..., i0:i1, :].copy(), [(m, vjp)])
 
 
 def reshape(m: Node, shape: tuple) -> Node:

@@ -85,7 +85,11 @@ def temporal_regularizers(scores: Node) -> tuple[Node, Node]:
     if t < 2:
         raise ValueError(f"need T >= 2 snippets, got {t}")
     sparsity = dc.reduce(scores, mode="sum")  # sigmoid scores: |s| is s
-    diff = dc.sub(dc.slice_rows(scores, 1, t), dc.slice_rows(scores, 0, t - 1))
+    # Successive differences s[i+1] - s[i] of each video (Sultani et al.,
+    # CVPR 2018), as one constant (T-1)xT matrix per video times its scores.
+    steps = np.eye(t - 1, t, 1) - np.eye(t - 1, t)
+    diff = dc.matmul(scores.tape.constant(
+        np.broadcast_to(steps, scores.shape[:-2] + steps.shape)), scores)
     smoothness = dc.reduce(dc.hadamard(diff, diff), mode="sum")
     return sparsity, smoothness
 

@@ -178,28 +178,26 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
     if log_file:
         log_file.write("step,bce,fm,sparsity,smoothness,total\n")
     try:
-        per_epoch = steps_per_epoch(dataset, cfg)
-        step = 0
-        for _epoch in range(cfg.epochs):
-            for _ in range(per_epoch):
-                normal, abnormal = sample_batch(dataset, rng, cfg.batch_half)
-                grads, breakdown = batch_gradients(
-                    feats, normal + abnormal, params, cfg, step)
-                if not np.isfinite(breakdown.total):
-                    raise RuntimeError(
-                        f"non-finite loss {breakdown.total} at step {step}")
-                params = adam_step(params, grads, state, cfg)
-                log.append((step, breakdown))
-                if log_file:
-                    log_file.write(
-                        f"{step},{breakdown.bce!r},{breakdown.fm!r},"
-                        f"{breakdown.sparsity!r},{breakdown.smoothness!r},"
-                        f"{breakdown.total!r}\n")
-                step += 1
-                if (out_dir is not None and cfg.checkpoint_every > 0
-                        and step % cfg.checkpoint_every == 0):
-                    save_checkpoint(Path(out_dir) / f"step_{step:07d}.mtfc",
-                                    cfg, params, state)
+        for step in range(cfg.epochs * steps_per_epoch(dataset, cfg)):
+            normal, abnormal = sample_batch(dataset, rng, cfg.batch_half)
+            grads, breakdown = batch_gradients(
+                feats, normal + abnormal, params, cfg, step)
+            if not np.isfinite(breakdown.total):
+                raise RuntimeError(
+                    f"non-finite loss {breakdown.total} at step {step}")
+            params = adam_step(params, grads, state, cfg)
+            log.append((step, breakdown))
+            if log_file:
+                log_file.write(
+                    f"{step},{breakdown.bce!r},{breakdown.fm!r},"
+                    f"{breakdown.sparsity!r},{breakdown.smoothness!r},"
+                    f"{breakdown.total!r}\n")
+            # adam_step has counted this step: state.step is step + 1
+            if (out_dir is not None and cfg.checkpoint_every > 0
+                    and state.step % cfg.checkpoint_every == 0):
+                save_checkpoint(
+                    Path(out_dir) / f"step_{state.step:07d}.mtfc",
+                    cfg, params, state)
         if out_dir is not None:
             save_checkpoint(Path(out_dir) / "final.mtfc", cfg, params, state)
     finally:

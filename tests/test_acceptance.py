@@ -59,7 +59,7 @@ def eval_auc(data, scores_dir):
 
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
-    r = gradcheck_full_model(d=8, heads=2, seed=0)
+    r = gradcheck_full_model(d=8, seed=0)
     elapsed = time.time() - t0
     report(1, r.passed and elapsed < 60,
            f"max rel err {r.max_rel_error:.2e} in {elapsed:.1f}s")

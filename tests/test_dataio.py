@@ -277,8 +277,7 @@ class TestSynthGenerate:
 
     def test_class_projections_on_signal_direction(self):
         cfg = SynthConfig(n_normal_train=20, n_abnormal_train=20,
-                          n_normal_test=5, n_abnormal_test=5, d=8,
-                          boost=3.0, noise_scale=1.0)
+                          n_normal_test=5, n_abnormal_test=5, d=8)
         seed = 123
         train, test = synth_generate(cfg, seed)
         # recover the generator's unit direction the same way it was drawn
@@ -288,10 +287,10 @@ class TestSynthGenerate:
 
         normal_proj = np.concatenate([
             v.clips[0] @ u for v in train.videos if v.label == 0])
-        assert abs(normal_proj.mean()) < 3 * cfg.noise_scale / np.sqrt(
-            normal_proj.size)
+        assert abs(normal_proj.mean()) < 3 / np.sqrt(normal_proj.size)
 
-        # clips fully inside an anomaly interval should project near `boost`
+        # clips fully inside an anomaly interval should project near the
+        # boost; the noise has unit variance
         inside = []
         for v in test.videos:
             if v.label != 1:
@@ -302,8 +301,8 @@ class TestSynthGenerate:
                     inside.append(v.clips[0][i] @ u)
         inside = np.array(inside)
         assert inside.size > 0
-        se = cfg.noise_scale / np.sqrt(inside.size)
-        assert abs(inside.mean() - cfg.boost) < 3 * se
+        se = 1 / np.sqrt(inside.size)
+        assert abs(inside.mean() - dataio.ANOMALY_BOOST) < 3 * se
 
     def test_normal_videos_have_no_intervals(self):
         cfg = SynthConfig(n_normal_train=2, n_abnormal_train=2,

@@ -60,7 +60,6 @@ VALID_CONFIGS = {
     (TrainConfig, {"epochs": 0}), (TrainConfig, {"seed": -1}),
     (TrainConfig, {"checkpoint_every": -1}),
     (TrainConfig, {"loss": LossWeights(k=TINY_MODEL.t + 1)}),
-    (SynthConfig, {"boost": 0.0}), (SynthConfig, {"noise_scale": math.inf}),
     (SynthConfig, {"n_abnormal_test": 0}), (SynthConfig, {"d": 0}),
     (SynthConfig, {"frames_range": (768, 256)}),
     (SynthConfig, {"frames_range": (0, 4)}),
