@@ -16,7 +16,6 @@ import functools
 import json
 import secrets
 import sys
-import warnings
 from pathlib import Path
 from typing import get_type_hints
 
@@ -149,43 +148,6 @@ def _cmd_score(args):
     return 0
 
 
-def _read_curve_scores(path) -> np.ndarray:
-    """The score column of a `frame,score,gt` curve file, one value per
-    line that is not blank or whitespace-only.
-
-    numpy parses a well-formed file in one call. A file it rejects is read
-    again by `_read_curve_lines`, which defines the format: it accepts
-    what numpy accepts, and more (whitespace-only lines, Unicode digits),
-    and names the first line it cannot read.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty file
-            return np.loadtxt(input_file(path), delimiter=",", usecols=1,
-                              ndmin=1, comments=None, dtype=np.float64,
-                              encoding="utf-8")
-    except ValueError:
-        return _read_curve_lines(path)
-
-
-def _read_curve_lines(path) -> np.ndarray:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: {e}") from None
-    scores = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            scores.append(float(line.split(",")[1].strip()))
-        except (IndexError, ValueError):
-            raise ValueError(f"{path}:{lineno}: expected frame,score,gt, "
-                             f"got {line[:40]!r}") from None
-    return np.array(scores, dtype=np.float64)
-
-
 def _cmd_eval(args):
     if args.scores_dir is None or args.manifest is None:
         raise CliError("eval requires --scores-dir and --manifest")
@@ -195,7 +157,7 @@ def _cmd_eval(args):
     frame_scores = {}
     for v in dataset.videos:
         curve = Path(args.scores_dir) / f"{v.video_id}.csv"
-        scores = _read_curve_scores(curve)
+        scores = metrics.read_score_curve(curve)
         try:
             frame_scores[v.video_id] = metrics.video_scores(v, scores)
         except ValueError as e:

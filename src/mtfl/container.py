@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
+from contextlib import suppress
 
 
 class FormatError(Exception):
@@ -76,6 +77,15 @@ def input_file(path):
     raises the OSError of `os.stat`."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise FormatError(f"{path}: not a regular file")
+    return path
+
+
+def output_file(path):
+    """`path`, if nothing is there or a regular file is. A FIFO, a device
+    or a directory is a FormatError: writing to one can block or never
+    end."""
+    with suppress(FileNotFoundError):
+        input_file(path)
     return path
 
 

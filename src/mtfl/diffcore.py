@@ -167,8 +167,8 @@ def hadamard(a: Node, b: Node) -> Node:
 def sigmoid(m: Node) -> Node:
     # Split by sign for overflow safety.
     x = m.value
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return m.tape._record(out, [(m, lambda g: g * out * (1.0 - out))])
 
 

@@ -1,12 +1,14 @@
 """Frame-level evaluation: snippet-to-frame expansion, exact rank-based
-ROC-AUC, step-integrated average precision, and score-curve export."""
+ROC-AUC, step-integrated average precision, and score-curve I/O."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .container import input_file, output_file
 from .dataio import VideoEntry
 
 
@@ -148,7 +150,62 @@ def export_score_curve(video: VideoEntry, frame_scores: np.ndarray, path,
                                   | (gt[1:] != gt[:-1])]).tolist()
     runs = zip(starts, starts[1:] + [n], frame_scores[starts].tolist(),
                gt[starts].tolist())
-    with open(path, "w") as fh:
+    with open(output_file(path), "w") as fh:
         fh.write("".join(
             text[offsets[a]:offsets[b]].replace("\n", f",{s:.6f},{g}\n")
             for a, b, s, g in runs))
+
+
+# The weights that turn a line's 8 score bytes, "d.dddddd", into the
+# integer of its 7 digits; the point's byte weighs nothing.
+_SCORE_DIGIT_WEIGHTS = np.array([1e6, 0, 1e5, 1e4, 1e3, 100, 10, 1])
+
+
+def read_score_curve(path) -> np.ndarray:
+    """The score column of a `frame,score,gt` curve file, one value per
+    line that is not blank or whitespace-only.
+
+    A file in the layout `export_score_curve` writes, every line
+    `<digits>,<d>.<dddddd>,<digit>\\n`, is read from its bytes by a few
+    whole-array operations: each score is the integer of its 7 digits
+    divided by 1e6, the double nearest the decimal, as `float` reads it.
+    Any other file is read by `_read_curve_lines`, which defines the
+    format and names the first line it cannot read.
+    """
+    with open(input_file(path), "rb") as f:
+        raw = f.read()
+    b = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    n = ends.size
+    # Each line holds at least 12 bytes, newline included, with a `,` 11
+    # and 2 bytes and a `.` 9 bytes before its newline; those 3n bytes and
+    # the n newlines are the only ones that are not digits.
+    if not (raw.endswith(b"\n") and np.diff(ends, prepend=-1).min() >= 12
+            and np.count_nonzero(b - ord("0") < 10) == b.size - 4 * n
+            and np.all(b[ends - 11] == ord(","))
+            and np.all(b[ends - 9] == ord("."))
+            and np.all(b[ends - 2] == ord(","))):
+        return _read_curve_lines(path)
+    # Each line's score bytes, gathered as one unaligned 8-byte word.
+    words = np.ndarray((b.size - 7,), "<u8", raw, 0, (1,))[ends - 10]
+    digits = words.view(np.uint8).reshape(n, 8)
+    # Exact: every sum is an integer below 2**53.
+    return (digits @ _SCORE_DIGIT_WEIGHTS - ord("0") * 1111111) / 1e6
+
+
+def _read_curve_lines(path) -> np.ndarray:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+    scores = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            scores.append(float(line.split(",")[1].strip()))
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}:{lineno}: expected frame,score,gt, "
+                             f"got {line[:40]!r}") from None
+    return np.array(scores, dtype=np.float64)

@@ -25,7 +25,7 @@ import numpy as np
 from . import model as model_mod
 from . import objective
 from .container import (ChecksumError, FormatError, NonFiniteError, Reader,
-                        frame, open_container)
+                        frame, open_container, output_file)
 from .dataio import Dataset, snippet_tensors
 from .diffcore import Node, Tape, backward
 from .model import ModelConfig
@@ -174,7 +174,7 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
     state = AdamState.zeros_like(params)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C4]))
     log: list[tuple[int, LossBreakdown]] = []
-    log_file = open(log_path, "w") if log_path else None
+    log_file = open(output_file(log_path), "w") if log_path else None
     if log_file:
         log_file.write("step,bce,fm,sparsity,smoothness,total\n")
     try:
@@ -333,7 +333,7 @@ def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
     body = chain((struct.pack("<I", len(header)), header,
                   struct.pack("<I", state.step)),
                  map(_pack_tensor_table, (params, state.m, state.v)))
-    tmp = Path(f"{path}.tmp")
+    tmp = Path(output_file(f"{path}.tmp"))
     try:
         with open(tmp, "wb") as f:
             f.write(frame(CKPT_MAGIC, CKPT_VERSION))

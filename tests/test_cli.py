@@ -18,11 +18,11 @@ import pytest
 
 import mtfl
 from mtfl import cli, dataio, trainer
-from mtfl.cli import (CliError, _read_curve_scores, build_parser, parse_args,
-                      run)
+from mtfl.cli import CliError, build_parser, parse_args, run
 from mtfl.container import FormatError
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
 from mtfl.diffcore import finite_diff_check
+from mtfl.metrics import read_score_curve
 from mtfl.model import ModelConfig
 from mtfl.objective import LossWeights
 from mtfl.trainer import TrainConfig
@@ -742,12 +742,12 @@ class TestCurveReader:
         for curve in sorted(scores.glob("*.csv")):
             expected = np.array([float(line.split(",")[1])
                                  for line in curve.read_text().splitlines()])
-            assert np.array_equal(_read_curve_scores(curve), expected)
+            assert np.array_equal(read_score_curve(curve), expected)
 
     def test_blank_and_whitespace_only_lines_are_skipped(self, tmp_path):
         curve = tmp_path / "v.csv"
         curve.write_text("0,0.25,0\n\n1,0.5,1\n  \t\n\r\n2, 0.75 ,0\n \n")
-        assert _read_curve_scores(curve).tolist() == [0.25, 0.5, 0.75]
+        assert read_score_curve(curve).tolist() == [0.25, 0.5, 0.75]
 
     @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n"],
                              ids=["empty", "blank", "whitespace"])
@@ -983,6 +983,36 @@ def test_input_that_is_a_fifo_is_runtime_error(tmp_path, given):
         video = dataio.read_manifest(manifest, split="test").videos[0]
         fifo = scores / f"{video.video_id}.csv"
         fifo.unlink()
+    os.mkfifo(fifo)
+    proc = run_cli_process(argv, timeout=30)
+    assert proc.returncode == 2
+    assert_one_line_error(proc.stderr)
+    assert f"error: {fifo}: not a regular file" in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+@pytest.mark.parametrize("output", ["loss-log", "checkpoint-tmp", "curve"])
+def test_output_that_is_a_fifo_is_runtime_error(tmp_path, output):
+    """Opening a FIFO to write blocks until a reader comes, so an output
+    path that names one is refused before it is opened. The child is
+    killed at the timeout, so a regression fails."""
+    data = small_synth(tmp_path)
+    run_dir, scores = tmp_path / "run", tmp_path / "scores"
+    if output == "curve":
+        checkpoint = train_small(tmp_path, data) / "final.mtfc"
+        argv = ["score", "--checkpoint", str(checkpoint), "--manifest",
+                str(data / "test_manifest.csv"), "--out-dir", str(scores)]
+        video = dataio.read_manifest(data / "test_manifest.csv",
+                                     split="test").videos[0]
+        scores.mkdir()
+        fifo = scores / f"{video.video_id}.csv"
+    else:
+        argv = ["train", "--manifest", str(data / "train_manifest.csv"),
+                "--out-dir", str(run_dir), "--epochs", "1", "--batch-half",
+                "2", "--seed", "1", "--t", "8", "--heads", "2"]
+        run_dir.mkdir()
+        fifo = run_dir / {"loss-log": "loss_log.csv",
+                          "checkpoint-tmp": "final.mtfc.tmp"}[output]
     os.mkfifo(fifo)
     proc = run_cli_process(argv, timeout=30)
     assert proc.returncode == 2

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtfl import dataio
-from mtfl.cli import _read_curve_lines, _read_curve_scores, run
+from mtfl.cli import run
 from mtfl.container import FormatError
+from mtfl.metrics import _read_curve_lines, read_score_curve
 from mtfl.trainer import load_checkpoint, save_checkpoint, train
 
 from test_trainer import (header_of, tiny_dataset, tiny_train_config,
@@ -29,6 +30,8 @@ FUZZ = settings(max_examples=50, deadline=timedelta(seconds=5))
 
 BLANK_LINES = [b"", b"  ", b"\t \r", b" \x0c"]
 NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88\x80\x80"]
+# UTF-8 bytes that break the layout `export_score_curve` writes.
+OFF_LAYOUT = [b"\r", b",", b"."]
 
 
 def apply(data: bytes, ops) -> bytes:
@@ -56,6 +59,7 @@ curve_ops = st.lists(st.one_of(
     st.tuples(st.just("line"), position,
               st.text(max_size=20).map(lambda t: t.encode("utf-8"))),
     st.tuples(st.just("bytes"), position, st.sampled_from(NOT_UTF8)),
+    st.tuples(st.just("bytes"), position, st.sampled_from(OFF_LAYOUT)),
 ), min_size=1, max_size=4)
 
 
@@ -101,12 +105,12 @@ def test_mutated_curve_gives_exit_code_and_one_line(curves, ops):
 @FUZZ
 @given(ops=curve_ops)
 def test_fast_curve_parse_agrees_with_line_rule(curves, ops):
-    """numpy's one-call parse is only a fast path: where it accepts a file,
-    the line rule that defines the format reads the same values."""
+    """The array path is only a fast path: where it accepts a file, the
+    line rule that defines the format reads the same values."""
     _, _, victim, clean = curves
     victim.write_bytes(apply(clean, ops))
     outcomes = []
-    for read in (_read_curve_scores, _read_curve_lines):
+    for read in (read_score_curve, _read_curve_lines):
         try:
             outcomes.append(read(victim))
         except ValueError as e:

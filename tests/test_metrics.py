@@ -406,6 +406,92 @@ class TestExportScoreCurve:
         assert a.read_bytes() == b.read_bytes()
 
 
+def outcome(read, path):
+    """What `read` makes of `path`: its scores, or its error's text."""
+    try:
+        return read(path)
+    except ValueError as e:
+        return str(e)
+
+
+# (curve bytes, whether they keep the layout `export_score_curve` writes)
+CURVE_EDGES = {
+    "cr-inside-line": (b"0,0.25\r0000,0\n1,0.500000,1\n", False),
+    "crlf": (b"0,0.250000,0\r\n1,0.500000,1\r\n", False),
+    "comma-in-frame": (b"1,2,0.250000,0\n", False),
+    "point-in-frame": (b"1.5,0.250000,0\n", False),
+    "5-decimals": (b"0,0.25000,0\n", False),
+    "7-decimals": (b"0,0.2500000,0\n", False),
+    "minus-zero": (b"0,-0.000000,0\n", False),
+    "zero": (b"0,0.000000,0\n", True),
+    "one": (b"0,1.000000,1\n", True),
+    "leading-space": (b" 0,0.250000,0\n", False),
+    "tab-before-gt": (b"0,0.250000,\t0\n", False),
+    "no-final-newline": (b"0,0.250000,0\n1,0.500000,1", False),
+    "blank-line-between": (b"0,0.250000,0\n\n1,0.500000,1\n", False),
+    "nul-in-frame": (b"0\x00,0.250000,0\n", False),
+    "arabic-indic-zero-in-frame": ("\u0660,0.250000,0\n".encode(), False),
+    "empty-frame": (b",0.250000,0\n", True),
+    "10-digit-frame": (b"1234567890,0.250000,0\n", True),
+    "letter-in-score": (b"0,0.25x000,0\n", False),
+    "colon-in-score": (b"0,0.25:000,0\n", False),  # the byte after "9"
+    "short-line-of-separators": (b",.,\n", False),
+    # Each of these breaks one rule of the layout and keeps the others.
+    "2-digit-integer-part": (b"1,20.250000,0\n", False),
+    "point-one-place-right": (b"0,02.50000,0\n", False),
+    "empty-gt-after-7-decimals": (b"0,0.2500001,\n", False),
+    "digits-after-last-newline": (b"0,0.250000,0\n7", False),
+}
+
+
+class TestReadScoreCurve:
+    @pytest.mark.parametrize("scores", [
+        [0.0, 1.0, 5e-7, 0.9999996] * 3,
+        np.random.default_rng(4).uniform(size=10001),
+        np.repeat(np.random.default_rng(5).uniform(size=40), 250),
+    ], ids=["edges", "random", "runs"])
+    def test_exported_curves_skip_the_line_rule(self, tmp_path, monkeypatch,
+                                                scores):
+        scores = np.asarray(scores)
+        v = make_record(n_frames=scores.size,
+                        intervals=((1, 3), (7, scores.size - 1)))
+        path = tmp_path / "v.csv"
+        export(v, scores, path)
+        expected = [float(line.split(",")[1])
+                    for line in path.read_text().splitlines()]
+
+        def line_rule(path):
+            raise AssertionError("line rule called")
+
+        monkeypatch.setattr(metrics, "_read_curve_lines", line_rule)
+        read = metrics.read_score_curve(path)
+        assert np.array_equal(read, expected)
+        assert not np.signbit(read).any()
+
+    @pytest.mark.parametrize("text, layout", CURVE_EDGES.values(),
+                             ids=CURVE_EDGES)
+    def test_agrees_with_line_rule_at_edges(self, tmp_path, monkeypatch,
+                                            text, layout):
+        path = tmp_path / "v.csv"
+        path.write_bytes(text)
+        line_rule = metrics._read_curve_lines
+        expected = outcome(line_rule, path)
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return line_rule(path)
+
+        monkeypatch.setattr(metrics, "_read_curve_lines", counted)
+        got = outcome(metrics.read_score_curve, path)
+        assert len(calls) == (not layout)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 class TestEvaluate:
     def test_pooled_report(self):
         videos = [make_record("a", 1, 4, [(0, 2)]),
