@@ -106,9 +106,8 @@ def _cmd_train(args):
             d=dataset.videos[0].dim, t=args.t, heads=args.heads,
             use_pfl=not args.disable_pfl, use_ltl=not args.disable_ltl,
             use_gtl=not args.disable_gtl, use_ff=not args.disable_ff,
-            hidden=args.hidden, dropout=args.dropout),
+            hidden=args.hidden),
         learning_rate=args.lr,
-        weight_decay=args.weight_decay,
         batch_half=args.batch_half,
         epochs=args.epochs,
         seed=seed,
@@ -234,7 +233,7 @@ def gradcheck_full_model(d, seed):
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     mcfg = ModelConfig(d=d, t=GRADCHECK_T, heads=GRADCHECK_HEADS,
-                       hidden=GRADCHECK_HIDDEN, dropout=0.0)
+                       hidden=GRADCHECK_HIDDEN)
     feats, params = gradcheck_point(mcfg, seed)
 
     def build(p):
@@ -268,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epochs")
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
                    help="Adam step size")
-    p.add_argument("--weight-decay", type=float,
-                   default=TrainConfig.weight_decay,
-                   help="decoupled weight decay")
     p.add_argument("--batch-half", type=int, default=TrainConfig.batch_half,
                    help="videos per class in a batch")
     p.add_argument("--seed", type=int,
@@ -292,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="snippets per video")
     p.add_argument("--heads", type=int, default=ModelConfig.heads,
                    help="attention heads")
-    p.add_argument("--dropout", type=float, default=ModelConfig.dropout,
-                   help="classifier dropout rate")
     p.add_argument("--checkpoint-every", type=int,
                    default=TrainConfig.checkpoint_every,
                    help="steps between checkpoints; 0: final only")

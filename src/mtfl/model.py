@@ -20,6 +20,8 @@ from .diffcore import Node, Tape
 
 # Dilation of each LTL gate's conv, by timescale pair.
 DILATIONS = {"lm": 2, "ms": 1, "sl": 4}
+# Share of the classifier's hidden units that dropout zeroes: RTFM's value.
+DROPOUT = 0.7
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,6 @@ class ModelConfig:
     t: int = 32
     heads: int = 4
     hidden: tuple[int, int] = (512, 128)
-    dropout: float = 0.7
     use_pfl: bool = True
     use_ltl: bool = True
     use_gtl: bool = True
@@ -47,8 +48,6 @@ class ModelConfig:
             raise ValueError(f"D={self.d} not divisible by heads={self.heads}")
         if (self.d // 2) % self.heads != 0:
             raise ValueError(f"D/2={self.d // 2} not divisible by heads={self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
         if len(self.hidden) != 2 or min(self.hidden) < 1:
             raise ValueError(f"hidden must be two widths >= 1, got {self.hidden}")
 
@@ -174,19 +173,17 @@ def ff_fuse(z: Node, residual: Node, leaves) -> Node:
     return dc.add(_project(z, leaves, "ff.proj"), residual)
 
 
-def _dropout(x: Node, rate: float, rng) -> Node:
-    """Inverted dropout on a (B,T,H) batch. `rng` is a sequence of
-    generators, one per video, each drawing that video's mask exactly as it
-    would for the video alone."""
-    if rate <= 0.0:
-        return x
+def _dropout(x: Node, rng) -> Node:
+    """Inverted dropout at rate DROPOUT on a (B,T,H) batch. `rng` is a
+    sequence of generators, one per video, each drawing that video's mask
+    exactly as it would for the video alone."""
     if len(rng) != x.shape[0]:
         raise ValueError(f"{len(rng)} dropout generators for a batch "
                          f"of {x.shape[0]}")
     draw = np.empty(x.shape)
     for r, row in zip(rng, draw):
         r.random(out=row)
-    mask = np.divide(draw >= rate, 1.0 - rate, out=draw)
+    mask = np.divide(draw >= DROPOUT, 1.0 - DROPOUT, out=draw)
     return dc.hadamard(x, x.tape.constant(mask))
 
 
@@ -197,7 +194,7 @@ def classify(x: Node, leaves, config: ModelConfig, rng=None) -> Node:
     for layer in ("clf.fc1", "clf.fc2"):
         h = dc.relu(_project(h, leaves, layer))
         if rng is not None:
-            h = _dropout(h, config.dropout, rng)
+            h = _dropout(h, rng)
     return dc.sigmoid(_project(h, leaves, "clf.fc3"))
 
 

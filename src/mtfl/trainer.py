@@ -37,13 +37,14 @@ CKPT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Decoupled weight decay on every weight tensor (biases exempt): RTFM's value.
+WEIGHT_DECAY = 5e-4
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     model: ModelConfig
     learning_rate: float = 1e-4
-    weight_decay: float = 5e-4
     batch_half: int = 64  # videos of each class in a batch
     epochs: int = 1000
     seed: int = 0
@@ -54,8 +55,6 @@ class TrainConfig:
         # Chained comparisons are false for NaN, so NaN is rejected too.
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be finite and positive")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError("weight decay must be finite and nonnegative")
         if self.batch_half < 1:
             raise ValueError("batch half must be >= 1")
         if self.epochs < 1:
@@ -102,8 +101,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         m_hat = state.m[name] / (1 - b1 ** t)
         v_hat = state.v[name] / (1 - b2 ** t)
         new_p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if cfg.weight_decay > 0 and not name.endswith("_b"):
-            new_p = new_p - lr * cfg.weight_decay * new_p
+        if not name.endswith("_b"):
+            new_p = new_p - lr * WEIGHT_DECAY * new_p
         out[name] = new_p
     return out
 
@@ -298,14 +297,15 @@ def _config_from_json(raw: bytes, path, step: int, tables) -> TrainConfig:
         t = {**blob["train"]}
         t.pop("workers", None)  # thread count; did not change results
         _drop_retired(t, {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
-                          "eps": ADAM_EPS})
+                          "eps": ADAM_EPS, "weight_decay": WEIGHT_DECAY})
         if "batch_normal" in t or "batch_abnormal" in t:
             halves = t.pop("batch_normal", None), t.pop("batch_abnormal", None)
             if json.dumps(halves[0]) != json.dumps(halves[1]):  # 2 vs 2.0
                 raise ValueError(f"unequal batch halves {halves}")
             t["batch_half"] = halves[0]
         t["model"] = {**t["model"]}
-        _drop_retired(t["model"], {"dilations": model_mod.DILATIONS})
+        _drop_retired(t["model"], {"dilations": model_mod.DILATIONS,
+                                   "dropout": model_mod.DROPOUT})
         cfg = from_json(TrainConfig, t, "train")
         for key, stored in (("step", step), ("seed", cfg.seed)):
             if from_json(int, blob[key], key) != stored:

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import mtfl
-from mtfl import cli, dataio, trainer
+from mtfl import cli, dataio, model, trainer
 from mtfl.cli import CliError, build_parser, parse_args, run
 from mtfl.container import FormatError
 from mtfl.dataio import SynthConfig, synth_generate, write_feature_file
@@ -209,13 +210,16 @@ STAGES = ("pfl", "ltl", "gtl", "ff")
     (0.5, STAGES),
 ], ids=lambda v: "+".join(v) or "none" if isinstance(v, tuple)
     else f"dropout={v}")
-def test_gradcheck_every_stage_switch_and_dropout(dropout, stages):
+def test_gradcheck_every_stage_switch_and_dropout(dropout, stages,
+                                                  monkeypatch):
     """`gradcheck`'s check, at D=4 and seed 0, with each set of stages on
-    and with dropout: the loss through `trainer.batch_loss`, at
-    `gradcheck_point`. Each build makes fresh dropout generators per slot,
-    so it is one function of the parameters."""
+    and with dropout at rate `dropout` (0: no dropout generators): the loss
+    through `trainer.batch_loss`, at `gradcheck_point`. Each build makes
+    fresh dropout generators per slot, so it is one function of the
+    parameters."""
+    monkeypatch.setattr(model, "DROPOUT", dropout)
     mcfg = ModelConfig(d=4, t=cli.GRADCHECK_T, heads=2,
-                       hidden=cli.GRADCHECK_HIDDEN, dropout=dropout,
+                       hidden=cli.GRADCHECK_HIDDEN,
                        **{f"use_{s}": s in stages for s in STAGES})
     feats, params = cli.gradcheck_point(mcfg, 0)
 
@@ -301,8 +305,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"], ["--lr", "-1e-3"],
-        ["--weight-decay", "nan"], ["--weight-decay", "inf"],
-        ["--weight-decay", "-1"], ["--k", "5", "--t", "4"],
+        ["--k", "5", "--t", "4"],
         ["--margin", "nan"], ["--lambda-fm", "inf"],
         ["--workers", "2"], ["--checkpoint-every", "-1"],
     ], ids=lambda flags: " ".join(flags))
@@ -531,16 +534,30 @@ class TestScoreEvalCommands:
         assert not scores.exists()
 
     def test_checkpoint_from_older_version_scores(self, tmp_path, capsys):
+        """A header as older versions wrote it (`older_header`), and one
+        that holds only `weight_decay` and `model.dropout` besides this
+        version's keys, as written before both were constants, score the
+        same curve bytes as the header this version writes."""
         data = small_synth(tmp_path)
-        ckpt = train_small(tmp_path, data) / "final.mtfc"
-        raw = ckpt.read_bytes()
-        ckpt.write_bytes(with_header(raw, older_header(
-            json.loads(header_of(raw)))))
-        code, _, err = run_capture(capsys, [
-            "score", "--checkpoint", str(ckpt),
-            "--manifest", str(data / "test_manifest.csv"),
-            "--out-dir", str(tmp_path / "scores")])
-        assert code == 0, err
+        raw = (train_small(tmp_path, data) / "final.mtfc").read_bytes()
+        header = json.loads(header_of(raw))
+        forms = {"current": raw,
+                 "older": with_header(raw, older_header(header)),
+                 "with-decay-and-dropout": with_header(raw, edited_header(
+                     header, weight_decay=0.0005, model={"dropout": 0.7}))}
+        curves = {}
+        for name, blob in forms.items():
+            ckpt, scores = tmp_path / f"{name}.mtfc", tmp_path / name
+            ckpt.write_bytes(blob)
+            code, _, err = run_capture(capsys, [
+                "score", "--checkpoint", str(ckpt),
+                "--manifest", str(data / "test_manifest.csv"),
+                "--out-dir", str(scores)])
+            assert code == 0, err
+            curves[name] = {p.name: p.read_bytes() for p in scores.iterdir()}
+        assert curves["current"]
+        assert (curves["older"] == curves["current"]
+                == curves["with-decay-and-dropout"])
 
     @pytest.mark.parametrize("edit", [
         lambda h: b"{not json",
@@ -548,13 +565,17 @@ class TestScoreEvalCommands:
         lambda h: older_header(h, beta1=0.95),
         lambda h: older_header(h, lm=3),
         lambda h: older_header(h, halves=(2, 3)),
+        lambda h: older_header(h, weight_decay=0.0),
+        lambda h: older_header(h, dropout=0.5),
         lambda h: edited_header(h, model={"heads": 0}),
         lambda h: edited_header(h, model={"heads": 2.0}),
         lambda h: edited_header(h, model={"use_pfl": "no"}),
         lambda h: edited_header(h, model={"use_ff": False}),
     ], ids=["invalid-json", "empty-train-config", "retired-beta1-changed",
-            "retired-dilation-changed", "unequal-batch-halves", "heads-0",
-            "heads-float", "use-pfl-string", "ff-tensors-without-use-ff"])
+            "retired-dilation-changed", "unequal-batch-halves",
+            "retired-weight-decay-changed", "retired-dropout-changed",
+            "heads-0", "heads-float", "use-pfl-string",
+            "ff-tensors-without-use-ff"])
     def test_unparsable_checkpoint_header_is_runtime_error(
             self, tmp_path, capsys, edit):
         data = small_synth(tmp_path)
@@ -827,7 +848,7 @@ def test_settable_value_count():
              for f in fields(cls)]
     count = sum(not is_dataclass(kind) for kind in hints)
     count += len(inspect.signature(cli.gradcheck_full_model).parameters)
-    assert count == 28
+    assert count == 26
 
 
 class TestConfigFilePrecedence:
@@ -918,13 +939,15 @@ class TestConfigFilePrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "manifest": str(data / "train_manifest.csv"), "epoch": 1,
-            "batch_halff": 2, "seed": 1, "t": 8, "heads": 2, "margin": 4}))
+            "batch_halff": 2, "seed": 1, "t": 8, "heads": 2, "margin": 4,
+            "weight_decay": 5e-4, "dropout": 0.7}))
         out = tmp_path / "run"
         code, _, err = run_capture(capsys, [
             "train", "--config", str(cfg), "--out-dir", str(out)])
         assert code == 1
         assert_one_line_error(err)
-        assert "batch_halff" in err and "epoch" in err
+        for key in ("batch_halff", "epoch", "weight_decay", "dropout"):
+            assert key in err
         assert not out.exists()
 
     def test_keys_of_other_commands_accepted(self, tmp_path, capsys):
@@ -991,14 +1014,23 @@ def test_input_that_is_a_fifo_is_runtime_error(tmp_path, given):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
-@pytest.mark.parametrize("output", ["loss-log", "checkpoint-tmp", "curve"])
+@pytest.mark.parametrize("output", ["loss-log", "checkpoint-tmp", "curve",
+                                    "synth-feature", "synth-manifest"])
 def test_output_that_is_a_fifo_is_runtime_error(tmp_path, output):
     """Opening a FIFO to write blocks until a reader comes, so an output
-    path that names one is refused before it is opened. The child is
-    killed at the timeout, so a regression fails."""
-    data = small_synth(tmp_path)
+    path that names one is refused before it is opened, and left as it is.
+    The child is killed at the timeout, so a regression fails."""
     run_dir, scores = tmp_path / "run", tmp_path / "scores"
-    if output == "curve":
+    if output.startswith("synth"):
+        data = tmp_path / "data"
+        argv = ["synth", "--out-dir", str(data), "--normal", "2",
+                "--abnormal", "2", "--d", "4"]
+        (data / "features").mkdir(parents=True)
+        fifo = data / {
+            "synth-feature": "features/train_normal_0000_short.mtfb",
+            "synth-manifest": "train_manifest.csv"}[output]
+    elif output == "curve":
+        data = small_synth(tmp_path)
         checkpoint = train_small(tmp_path, data) / "final.mtfc"
         argv = ["score", "--checkpoint", str(checkpoint), "--manifest",
                 str(data / "test_manifest.csv"), "--out-dir", str(scores)]
@@ -1007,6 +1039,7 @@ def test_output_that_is_a_fifo_is_runtime_error(tmp_path, output):
         scores.mkdir()
         fifo = scores / f"{video.video_id}.csv"
     else:
+        data = small_synth(tmp_path)
         argv = ["train", "--manifest", str(data / "train_manifest.csv"),
                 "--out-dir", str(run_dir), "--epochs", "1", "--batch-half",
                 "2", "--seed", "1", "--t", "8", "--heads", "2"]
@@ -1018,6 +1051,7 @@ def test_output_that_is_a_fifo_is_runtime_error(tmp_path, output):
     assert proc.returncode == 2
     assert_one_line_error(proc.stderr)
     assert f"error: {fifo}: not a regular file" in proc.stderr
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_readme_cli_section_matches_parser():

@@ -9,7 +9,7 @@ from mtfl import model
 from mtfl.diffcore import Tape, backward
 from mtfl.model import ModelConfig
 
-TINY = ModelConfig(d=8, t=8, heads=2, hidden=(6, 4), dropout=0.0)
+TINY = ModelConfig(d=8, t=8, heads=2, hidden=(6, 4))
 
 
 def random_feats(cfg, seed=0, scale=1.0):
@@ -26,10 +26,6 @@ class TestConfig:
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(d=12, heads=4)  # D/2=6 not divisible by 4
-
-    def test_rejects_bad_dropout(self):
-        with pytest.raises(ValueError, match="dropout"):
-            ModelConfig(d=8, heads=2, dropout=1.0)
 
 
 class TestInitParams:
@@ -287,14 +283,14 @@ class TestClassify:
         _, _, _, high = forward_with_leaves(TINY, bumped, feats)
         assert np.all(high.value > low.value)
 
-    def test_train_dropout_deterministic_given_rng(self):
-        cfg = replace(TINY, dropout=0.5)
-        params = model.init_params(cfg, 0)
-        feats = random_feats(cfg, 6)[:, None]  # a batch of one
+    def test_train_dropout_deterministic_given_rng(self, monkeypatch):
+        monkeypatch.setattr(model, "DROPOUT", 0.5)
+        params = model.init_params(TINY, 0)
+        feats = random_feats(TINY, 6)[:, None]  # a batch of one
         runs = []
         for _ in range(2):
             rng = [np.random.default_rng(11)]
-            _, _, _, s = forward_with_leaves(cfg, params, feats, rng=rng)
+            _, _, _, s = forward_with_leaves(TINY, params, feats, rng=rng)
             runs.append(s.value)
         assert np.array_equal(runs[0], runs[1])
 
@@ -344,10 +340,12 @@ class TestBatchedForward:
     @pytest.mark.parametrize("switches", list(itertools.product(
         [True, False], repeat=4)), ids=lambda s: "".join("1" if on else "0"
                                                          for on in s))
-    def test_batch_matches_each_video_alone(self, switches, mode):
+    def test_batch_matches_each_video_alone(self, switches, mode,
+                                            monkeypatch):
         """One (3,B,T,D) forward gives every video the X and scores of its own
         B-less forward, including its own dropout masks in train mode."""
-        cfg = replace(TINY, dropout=0.5, **dict(zip(
+        monkeypatch.setattr(model, "DROPOUT", 0.5)
+        cfg = replace(TINY, **dict(zip(
             ("use_pfl", "use_ltl", "use_gtl", "use_ff"), switches)))
         params = model.init_params(cfg, 1)
         rng = np.random.default_rng(2)
@@ -372,11 +370,10 @@ class TestBatchedForward:
                                atol=1e-15)
 
     def test_one_dropout_generator_per_video(self):
-        cfg = replace(TINY, dropout=0.5)
-        params = model.init_params(cfg, 0)
-        batch = np.ones((3, 3, cfg.t, cfg.d))
+        params = model.init_params(TINY, 0)
+        batch = np.ones((3, 3, TINY.t, TINY.d))
         with pytest.raises(ValueError, match="generators"):
-            forward_with_leaves(cfg, params, batch,
+            forward_with_leaves(TINY, params, batch,
                                 [np.random.default_rng(0)] * 2)
 
     @pytest.mark.parametrize("b", [1, 16])
@@ -386,8 +383,8 @@ class TestBatchedForward:
         video, stacked, from generators of the same seeds."""
         rate, shape = 0.7, (b, 32, width)
         x = Tape().leaf(np.ones(shape))
-        out = model._dropout(x, rate, [np.random.default_rng([5, slot])
-                                       for slot in range(b)])
+        out = model._dropout(x, [np.random.default_rng([5, slot])
+                                 for slot in range(b)])
         rngs = [np.random.default_rng([5, slot]) for slot in range(b)]
         expected = (np.stack([r.random(shape[1:]) for r in rngs])
                     >= rate) / (1.0 - rate)

@@ -49,14 +49,13 @@ VALID_CONFIGS = {
     (ModelConfig, {"heads": 0}), (ModelConfig, {"t": 1}),
     (ModelConfig, {"d": 0}), (ModelConfig, {"d": 7, "heads": 1}),
     (ModelConfig, {"d": 12, "heads": 4}),
-    (ModelConfig, {"dropout": float("nan")}), (ModelConfig, {"dropout": 1.0}),
     (ModelConfig, {"hidden": (0, 4)}), (ModelConfig, {"hidden": (-1, 4)}),
     (ModelConfig, {"hidden": (4,)}),
     (LossWeights, {"lambda_fm": -1.0}), (LossWeights, {"margin": math.nan}),
     (LossWeights, {"lambda2": math.inf}), (LossWeights, {"k": 0}),
     (TrainConfig, {"learning_rate": 0.0}),
     (TrainConfig, {"learning_rate": math.nan}),
-    (TrainConfig, {"weight_decay": -1.0}), (TrainConfig, {"batch_half": 0}),
+    (TrainConfig, {"batch_half": 0}),
     (TrainConfig, {"epochs": 0}), (TrainConfig, {"seed": -1}),
     (TrainConfig, {"checkpoint_every": -1}),
     (TrainConfig, {"loss": LossWeights(k=TINY_MODEL.t + 1)}),
@@ -75,10 +74,14 @@ def test_invalid_config_cannot_be_made(cls, changes):
 
 
 class TestAdamStep:
-    def _setup(self, wd=0.0):
+    @pytest.fixture(autouse=True)
+    def no_decay(self, monkeypatch):
+        """Each test sees Adam alone unless it sets a decay itself."""
+        monkeypatch.setattr(trainer, "WEIGHT_DECAY", 0.0)
+
+    def _setup(self):
         params = {"w": np.array([[1.0, -2.0]]), "x_b": np.array([[0.5]])}
-        cfg = TrainConfig(model=TINY_MODEL, learning_rate=0.1,
-                          weight_decay=wd)
+        cfg = TrainConfig(model=TINY_MODEL, learning_rate=0.1)
         return params, AdamState.zeros_like(params), cfg
 
     def test_zero_gradients_leave_params(self):
@@ -98,7 +101,7 @@ class TestAdamStep:
 
     def test_two_steps_match_hand_unrolled_recurrence(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        cfg = TrainConfig(model=TINY_MODEL, learning_rate=lr, weight_decay=0.0)
+        cfg = TrainConfig(model=TINY_MODEL, learning_rate=lr)
         p = 2.0
         params = {"w": np.array([[p]])}
         state = AdamState.zeros_like(params)
@@ -110,8 +113,9 @@ class TestAdamStep:
             p = p - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
         assert np.isclose(params["w"][0, 0], p, rtol=1e-14)
 
-    def test_decoupled_decay_skips_biases(self):
-        params, state, cfg = self._setup(wd=0.1)
+    def test_decoupled_decay_skips_biases(self, monkeypatch):
+        monkeypatch.setattr(trainer, "WEIGHT_DECAY", 0.1)
+        params, state, cfg = self._setup()
         grads = {k: np.zeros_like(p) for k, p in params.items()}
         out = adam_step(params, grads, state, cfg)
         assert np.array_equal(out["x_b"], params["x_b"])
@@ -243,15 +247,19 @@ def with_value(raw: bytes, table: int, name: str, value: float) -> bytes:
     raise KeyError(name)
 
 
-def older_header(h: dict, beta1=0.9, lm=2, halves=None) -> bytes:
+def older_header(h: dict, beta1=0.9, lm=2, halves=None, weight_decay=5e-4,
+                 dropout=0.7) -> bytes:
     """The header `h` as older versions wrote it: with Adam's betas and
-    eps, two batch halves, the LTL dilations and a thread count. By
-    default each holds the value the current version fixes."""
+    eps, two batch halves, the weight decay, the LTL dilations, the dropout
+    rate and a thread count. By default each holds the value the current
+    version fixes."""
     t = dict(h["train"])
     half = t.pop("batch_half")
     t["batch_normal"], t["batch_abnormal"] = halves or (half, half)
-    t.update(beta1=beta1, beta2=0.999, eps=1e-8, workers=1)
-    t["model"] = {**t["model"], "dilations": {"lm": lm, "ms": 1, "sl": 4}}
+    t.update(beta1=beta1, beta2=0.999, eps=1e-8, weight_decay=weight_decay,
+             workers=1)
+    t["model"] = {**t["model"], "dilations": {"lm": lm, "ms": 1, "sl": 4},
+                  "dropout": dropout}
     return json.dumps({**h, "train": t}).encode()
 
 
@@ -436,6 +444,8 @@ class TestCheckpoint:
         lambda h: older_header(h, beta1=0.95),
         lambda h: older_header(h, lm=3),
         lambda h: older_header(h, halves=(2, 3)),
+        lambda h: older_header(h, weight_decay=0.0),
+        lambda h: older_header(h, dropout=0.5),
         lambda h: edited_header(h, model={"heads": 0}),
         lambda h: edited_header(h, model={"t": 1}),
         lambda h: edited_header(h, model={"dropout": float("nan")}),
@@ -462,10 +472,12 @@ class TestCheckpoint:
     ], ids=["invalid-json", "invalid-utf8", "missing-field", "unknown-field",
             "unknown-model-field", "missing-step", "unknown-top-level-key",
             "not-an-object", "retired-beta1-changed",
-            "retired-dilation-changed", "unequal-batch-halves", "heads-0",
-            "t-1", "dropout-nan", "k-above-t", "seed-negative", "lr-0",
-            "hidden-width-0", "heads-string", "heads-float", "heads-bool",
-            "t-float", "hidden-float", "k-float", "use-pfl-string",
+            "retired-dilation-changed", "unequal-batch-halves",
+            "retired-weight-decay-changed", "retired-dropout-changed",
+            "heads-0", "t-1", "dropout-nan", "k-above-t", "seed-negative",
+            "lr-0", "hidden-width-0", "heads-string", "heads-float",
+            "heads-bool", "t-float", "hidden-float", "k-float",
+            "use-pfl-string",
             "batch-half-float", "epochs-bool", "older-batch-halves-float",
             "older-batch-halves-int-and-float",
             "pfl-tensors-without-use-pfl", "hidden-not-the-tensors",
@@ -503,12 +515,12 @@ class TestCheckpoint:
         cfg, _, _, path = self._trained(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(with_header(raw, edited_header(
-            json.loads(header_of(raw)), model={"dropout": 0},
-            loss={"margin": 4})))
+            json.loads(header_of(raw)), loss={"margin": 100, "lambda1": 0})))
         cfg2, _, _ = load_checkpoint(path)
-        assert cfg2 == replace(cfg, model=replace(cfg.model, dropout=0.0))
-        assert type(cfg2.model.dropout) is float
+        assert cfg2 == replace(cfg, loss=replace(cfg.loss, margin=100.0,
+                                                 lambda1=0.0))
         assert type(cfg2.loss.margin) is float
+        assert type(cfg2.loss.lambda1) is float
 
     def test_scoring_with_reloaded_checkpoint_matches(self, tmp_path):
         cfg, params, state, path = self._trained(tmp_path)
@@ -591,7 +603,7 @@ class TestGradientStaging:
 
         ds, _ = tiny_dataset()
         cfg = tiny_train_config()
-        assert cfg.model.dropout > 0
+        assert M.DROPOUT > 0
         params = M.init_params(cfg.model, 3)
         feats = snippet_tensors(ds.videos, cfg.model.t)
         indices = [0, 1, 4, 5]
