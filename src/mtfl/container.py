@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 
 
 class FormatError(Exception):
@@ -87,6 +87,19 @@ def output_file(path):
     with suppress(FileNotFoundError):
         input_file(path)
     return path
+
+
+@contextmanager
+def open_output(path, mode: str = "w", buffering: int = -1):
+    """`path`, checked by `output_file`, open for writing. An OSError that
+    names no file, as from a write to a full disk, is raised naming `path`."""
+    try:
+        with open(output_file(path), mode, buffering) as f:
+            yield f
+    except OSError as e:
+        if e.filename is not None or e.errno is None:
+            raise
+        raise OSError(e.errno, e.strerror, str(path)) from None
 
 
 def open_container(path, magic: bytes, version: int) -> Reader:

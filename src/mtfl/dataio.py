@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import (NonFiniteError, frame, input_file, open_container,
-                        output_file)
+                        open_output)
 
 MAGIC = b"MTFB"
 VERSION = 1
@@ -113,7 +113,7 @@ def write_feature_file(path, matrix: np.ndarray):
     if not np.all(np.isfinite(matrix)):
         raise NonFiniteError(f"{path}: refusing to write non-finite values")
     n, d = matrix.shape
-    with open(output_file(path), "wb") as f:
+    with open_output(path, "wb") as f:
         f.write(frame(MAGIC, VERSION))
         f.write(struct.pack("<II", n, d))
         f.write(matrix.astype("<f4").tobytes())
@@ -308,6 +308,6 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir=None):
                 lines.append(",".join([
                     v.video_id, str(v.label), str(v.n_frames), *paths,
                     format_intervals(v.intervals)]))
-            output_file(out_dir / f"{split}_manifest.csv").write_text(
-                "\n".join(lines) + "\n")
+            with open_output(out_dir / f"{split}_manifest.csv") as f:
+                f.write("\n".join(lines) + "\n")
     return splits["train"], splits["test"]

@@ -3,10 +3,11 @@
 A value on the tape is a float array of two or more axes. The last two axes
 are the matrix (scalars are 1x1); any leading axes are a batch, such as one
 matrix per video, and a 2-D value is simply a batch of none. Row-wise ops
-(softmax, norms, concatenation, the temporal convolution) act on
-each matrix of a batch on its own; `topk_mean` and `reduce` give one value
-per matrix. `linear` applies a 2-D weight and a 1xE bias to every row of
-a batch, and its backward sums their gradients over every row.
+(norms, concatenation, the temporal convolution, multi-head `attention`)
+act on each matrix of a batch on its own; `topk_mean` and `reduce` give
+one value per matrix. `linear` applies a 2-D weight and a 1xE bias to
+every row of a batch, and its backward sums their gradients over every
+row. `relu_dropout` is a ReLU and inverted dropout by a boolean mask.
 
 Ops record a backward closure per input; `backward` replays the tape in
 reverse and returns gradients keyed by leaf name. A central-difference
@@ -177,6 +178,17 @@ def relu(m: Node) -> Node:
     return m.tape._record(np.maximum(x, 0.0), [(m, lambda g: g * (x > 0))])
 
 
+def relu_dropout(m: Node, keep: np.ndarray, scale: float) -> Node:
+    """relu, then inverted dropout: zero where the boolean mask `keep` is
+    False, times `scale` where it is True."""
+    x = m.value
+    if keep.shape != x.shape:
+        raise ValueError(f"keep mask shape {keep.shape} != {x.shape}")
+    out = np.maximum(x, 0.0) * keep * scale
+    live = keep & (x > 0)
+    return m.tape._record(out, [(m, lambda g: g * live * scale)])
+
+
 def log_clamped(m: Node, lo: float, hi: float) -> Node:
     """log of the input clamped into [lo, hi]; gradient is zero where clamped."""
     x = m.value
@@ -186,16 +198,46 @@ def log_clamped(m: Node, lo: float, hi: float) -> Node:
                           [(m, lambda g: g * inside / clamped)])
 
 
-def softmax_rows(m: Node) -> Node:
-    x = m.value
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of a plain array."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
-        return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
-    return m.tape._record(s, [(m, vjp)])
+def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
+    """Multi-head attention of (...,Tq,W) queries over (...,Tk,W) keys and
+    values: each of `heads` slices of W gives softmax(q kᵀ/sqrt(W/heads)) v,
+    concatenated back in order. Its backward keeps only the weights P."""
+    if (k.shape != v.shape or q.shape[:-2] != k.shape[:-2]
+            or q.shape[-1] != k.shape[-1] or q.shape[-1] % heads):
+        raise ValueError(f"attention shape mismatch: q {q.shape}, k "
+                         f"{k.shape}, v {v.shape}, heads {heads}")
+    c = float(1.0 / np.sqrt(q.shape[-1] // heads))
+
+    def split(x):  # (...,T,W) -> a (...,heads,T,W/heads) view
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, -1)), -3, -2)
+
+    def merge(x):  # the inverse of split, as a new array
+        return np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], -1))
+
+    q4, k4, v4 = split(q.value), split(k.value), split(v.value)
+    p = _softmax(q4 @ np.swapaxes(k4, -1, -2) * c)
+    memo = {}
+
+    def grads(g):
+        # dq, dk and dv at once, kept for the cotangent `g` itself only
+        if memo.get("g") is not g:
+            go = split(g)
+            da = go @ np.swapaxes(v4, -1, -2)
+            ds = p * (da - (da * p).sum(axis=-1, keepdims=True)) * c
+            memo.update(g=g, out=tuple(map(merge, (
+                ds @ k4,
+                np.swapaxes(np.swapaxes(q4, -1, -2) @ ds, -1, -2),
+                np.swapaxes(p, -1, -2) @ go))))
+        return memo["out"]
+
+    return _tape_of(q, k, v)._record(merge(p @ v4), [
+        (n, lambda g, i=i: grads(g)[i]) for i, n in enumerate((q, k, v))])
 
 
 def _shift_rows(x: np.ndarray, offset: int) -> np.ndarray:
@@ -266,12 +308,6 @@ def reshape(m: Node, shape: tuple) -> Node:
     """The same entries in row-major order under a new shape."""
     x = m.value
     return m.tape._record(x.reshape(shape), [(m, lambda g: g.reshape(x.shape))])
-
-
-def transpose(m: Node, axis1: int = -2, axis2: int = -1) -> Node:
-    """Two axes swapped; by default the last two, the matrix transpose."""
-    return m.tape._record(np.swapaxes(m.value, axis1, axis2),
-                          [(m, lambda g: np.swapaxes(g, axis1, axis2))])
 
 
 def reduce(m: Node, mode: str = "sum") -> Node:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import input_file, output_file
+from .container import input_file, open_output
 from .dataio import VideoEntry
 
 
@@ -150,7 +150,7 @@ def export_score_curve(video: VideoEntry, frame_scores: np.ndarray, path,
                                   | (gt[1:] != gt[:-1])]).tolist()
     runs = zip(starts, starts[1:] + [n], frame_scores[starts].tolist(),
                gt[starts].tolist())
-    with open(output_file(path), "w") as fh:
+    with open_output(path) as fh:
         fh.write("".join(
             text[offsets[a]:offsets[b]].replace("\n", f",{s:.6f},{g}\n")
             for a, b, s, g in runs))

@@ -110,30 +110,14 @@ def _project(x: Node, leaves, prefix: str) -> Node:
     return dc.linear(x, leaves[f"{prefix}_w"], leaves[f"{prefix}_b"])
 
 
-def _split_heads(x: Node, heads: int) -> Node:
-    """(..., T, W) -> (..., heads, T, W/heads)."""
-    *lead, t, width = x.shape
-    return dc.transpose(dc.reshape(x, (*lead, t, heads, width // heads)),
-                        -3, -2)
-
-
-def _merge_heads(x: Node) -> Node:
-    """(..., heads, T, dh) -> (..., T, heads*dh), inverse of _split_heads."""
-    *lead, heads, t, dh = x.shape
-    return dc.reshape(dc.transpose(x, -3, -2), (*lead, t, heads * dh))
-
-
 def cross_attention(q_src: Node, kv_src: Node, leaves, prefix: str,
                     heads: int) -> Node:
     """Multi-head cross-attention; self-attention when q_src is kv_src.
     Every head of every video attends in one batched product."""
-    dh = q_src.shape[-1] // heads
-    q = _split_heads(_project(q_src, leaves, f"{prefix}.q"), heads)
-    k = _split_heads(_project(kv_src, leaves, f"{prefix}.k"), heads)
-    v = _split_heads(_project(kv_src, leaves, f"{prefix}.v"), heads)
-    kt = dc.matmul(q, dc.transpose(k))
-    attn = dc.softmax_rows(dc.scale(kt, 1.0 / np.sqrt(dh)))
-    return _project(_merge_heads(dc.matmul(attn, v)), leaves, f"{prefix}.o")
+    q = _project(q_src, leaves, f"{prefix}.q")
+    k = _project(kv_src, leaves, f"{prefix}.k")
+    v = _project(kv_src, leaves, f"{prefix}.v")
+    return _project(dc.attention(q, k, v, heads), leaves, f"{prefix}.o")
 
 
 def pfl_forward(f_l: Node, f_m: Node, f_s: Node, leaves,
@@ -173,28 +157,27 @@ def ff_fuse(z: Node, residual: Node, leaves) -> Node:
     return dc.add(_project(z, leaves, "ff.proj"), residual)
 
 
-def _dropout(x: Node, rng) -> Node:
-    """Inverted dropout at rate DROPOUT on a (B,T,H) batch. `rng` is a
-    sequence of generators, one per video, each drawing that video's mask
-    exactly as it would for the video alone."""
-    if len(rng) != x.shape[0]:
+def _keep_mask(shape: tuple, rng) -> np.ndarray:
+    """The boolean keep mask of dropout at rate DROPOUT on a (B,T,H) batch.
+    `rng` is a sequence of generators, one per video, each drawing that
+    video's mask exactly as it would for the video alone."""
+    if len(rng) != shape[0]:
         raise ValueError(f"{len(rng)} dropout generators for a batch "
-                         f"of {x.shape[0]}")
-    draw = np.empty(x.shape)
+                         f"of {shape[0]}")
+    draw = np.empty(shape)
     for r, row in zip(rng, draw):
         r.random(out=row)
-    mask = np.divide(draw >= DROPOUT, 1.0 - DROPOUT, out=draw)
-    return dc.hadamard(x, x.tape.constant(mask))
+    return draw >= DROPOUT
 
 
 def classify(x: Node, leaves, config: ModelConfig, rng=None) -> Node:
-    """Per-snippet scores in (0,1). Dropout runs if and only if `rng` is
-    given (see `_dropout`)."""
+    """Per-snippet scores in (0,1). Inverted dropout follows each hidden
+    ReLU if and only if `rng` is given (see `_keep_mask`)."""
     h = x
     for layer in ("clf.fc1", "clf.fc2"):
-        h = dc.relu(_project(h, leaves, layer))
-        if rng is not None:
-            h = _dropout(h, rng)
+        h = _project(h, leaves, layer)
+        h = dc.relu(h) if rng is None else dc.relu_dropout(
+            h, _keep_mask(h.shape, rng), 1.0 / (1.0 - DROPOUT))
     return dc.sigmoid(_project(h, leaves, "clf.fc3"))
 
 

@@ -14,7 +14,7 @@ import math
 import os
 import struct
 import zlib
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field, is_dataclass
 from itertools import chain
 from pathlib import Path
@@ -25,7 +25,7 @@ import numpy as np
 from . import model as model_mod
 from . import objective
 from .container import (ChecksumError, FormatError, NonFiniteError, Reader,
-                        frame, open_container, output_file)
+                        frame, open_container, open_output, output_file)
 from .dataio import Dataset, snippet_tensors
 from .diffcore import Node, Tape, backward
 from .model import ModelConfig
@@ -173,10 +173,11 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
     state = AdamState.zeros_like(params)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C4]))
     log: list[tuple[int, LossBreakdown]] = []
-    log_file = open(output_file(log_path), "w") if log_path else None
-    if log_file:
-        log_file.write("step,bce,fm,sparsity,smoothness,total\n")
-    try:
+    # Line-buffered, so the log on disk holds every step a checkpoint holds.
+    with (open_output(log_path, buffering=1) if log_path
+          else nullcontext()) as log_file:
+        if log_file:
+            log_file.write("step,bce,fm,sparsity,smoothness,total\n")
         for step in range(cfg.epochs * steps_per_epoch(dataset, cfg)):
             normal, abnormal = sample_batch(dataset, rng, cfg.batch_half)
             grads, breakdown = batch_gradients(
@@ -199,9 +200,6 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
                     cfg, params, state)
         if out_dir is not None:
             save_checkpoint(Path(out_dir) / "final.mtfc", cfg, params, state)
-    finally:
-        if log_file:
-            log_file.close()
     return params, state, log
 
 
@@ -335,7 +333,7 @@ def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
                  map(_pack_tensor_table, (params, state.m, state.v)))
     tmp = Path(output_file(f"{path}.tmp"))
     try:
-        with open(tmp, "wb") as f:
+        with open_output(tmp, "wb") as f:
             f.write(frame(CKPT_MAGIC, CKPT_VERSION))
             crc = 0
             for chunk in body:

@@ -59,15 +59,15 @@ def write_curves(scores_dir, manifest):
             "".join(f"{f},0.5,0\n" for f in range(v.n_frames)))
 
 
-def run_cli_process(argv, timeout=60, env=()):
+def run_cli_process(argv, timeout=60, env=(), **kw):
     """The CLI in a child process, killed after `timeout` seconds, with
-    the variables of `env` set."""
+    the variables of `env` set; `kw` goes to `subprocess.run`."""
     src = str(Path(mtfl.__file__).resolve().parents[1])
     env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "mtfl.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
-                          env=env)
+                          env=env, **kw)
 
 
 def train_small(tmp_path, data, extra=()):
@@ -1052,6 +1052,31 @@ def test_output_that_is_a_fifo_is_runtime_error(tmp_path, output):
     assert_one_line_error(proc.stderr)
     assert f"error: {fifo}: not a regular file" in proc.stderr
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_write_past_file_size_limit_names_the_file(tmp_path):
+    """A write that fails at the file-size limit raises an OSError that
+    names no file. `train` under a 200 KB limit, set in its own child
+    process, fails writing its first checkpoint: one error line that names
+    the checkpoint's .tmp, and no .tmp left behind."""
+    resource = pytest.importorskip("resource")
+    data = tmp_path / "data"
+    assert run(["synth", "--out-dir", str(data), "--normal", "8",
+                "--abnormal", "8", "--d", "16", "--seed", "1"]) == 0
+    out = tmp_path / "run"
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))
+
+    proc = run_cli_process(
+        ["train", "--manifest", str(data / "train_manifest.csv"),
+         "--out-dir", str(out), "--epochs", "3", "--batch-half", "4",
+         "--seed", "1", "--checkpoint-every", "5"],
+        preexec_fn=limit_file_size)
+    assert proc.returncode == 2
+    assert_one_line_error(proc.stderr)
+    assert f"{out / 'step_0000005.mtfc.tmp'}'" in proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["loss_log.csv"]
 
 
 def test_readme_cli_section_matches_parser():

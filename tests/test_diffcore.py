@@ -67,37 +67,161 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """The row softmax inside `attention`, on plain arrays."""
+
     def test_uniform(self):
-        tape = Tape()
-        out = dc.softmax_rows(tape.leaf([[0.0, 0.0, 0.0]]))
-        assert np.allclose(out.value, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        out = dc._softmax(np.zeros((1, 3)))
+        assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_analytic_shift(self):
         for c in (-50.0, 0.0, 3.7):
-            tape = Tape()
-            out = dc.softmax_rows(tape.leaf([[c, c + np.log(2)]]))
-            assert np.allclose(out.value, [[1 / 3, 2 / 3]], atol=1e-12)
+            out = dc._softmax(np.array([[c, c + np.log(2)]]))
+            assert np.allclose(out, [[1 / 3, 2 / 3]], atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_rows_sum_to_one(self, seed):
         x = np.random.default_rng(seed).normal(size=(4, 5)) * 10
-        tape = Tape()
-        out = dc.softmax_rows(tape.leaf(x))
-        assert np.allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(out.value >= 0)
+        out = dc._softmax(x)
+        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(out >= 0)
 
     def test_shift_invariance(self):
         x = np.random.default_rng(3).normal(size=(3, 4))
-        tape = Tape()
-        base = dc.softmax_rows(tape.leaf(x)).value
-        shifted = dc.softmax_rows(tape.leaf(x + 7.25)).value
-        assert np.allclose(base, shifted, atol=1e-12)
+        assert np.allclose(dc._softmax(x), dc._softmax(x + 7.25), atol=1e-12)
 
     def test_overflow_safe(self):
+        out = dc._softmax(np.array([[1000.0, 1000.0]]))
+        assert np.allclose(out, [[0.5, 0.5]])
+
+
+def same_bits(a, b):
+    """Equal arrays, down to the sign of every zero."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_attention(q, k, v, heads, g):
+    """Output and (dq, dk, dv) of multi-head attention for the output
+    cotangent `g`, by the chain of separate steps the model ran before the
+    op was fused: split heads, q kᵀ, scale, row softmax, P v, merge heads,
+    and each step's backward in reverse."""
+    dh = q.shape[-1] // heads
+
+    def split(x):
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, dh)), -3, -2)
+
+    def merge(x):
+        x = np.swapaxes(x, -3, -2)
+        return x.reshape(x.shape[:-2] + (heads * dh,))
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    kt = np.swapaxes(k4, -1, -2)
+    c = float(1.0 / np.sqrt(dh))
+    scaled = (q4 @ kt) * c
+    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = merge(p @ v4)
+    go = split(g)
+    dp = go @ np.swapaxes(v4, -1, -2)
+    dv = np.swapaxes(p, -1, -2) @ go
+    dscaled = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dkt_in = dscaled * c
+    dq = dkt_in @ np.swapaxes(kt, -1, -2)
+    dk = np.swapaxes(np.swapaxes(q4, -1, -2) @ dkt_in, -1, -2)
+    return out, (merge(dq), merge(dk), merge(dv))
+
+
+def probed_loss(out, probe):
+    """A scalar loss whose cotangent for `out` is exactly `probe`."""
+    return _batch_sum(dc.hadamard(out, out.tape.constant(probe)))
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batch"])
+    def test_cross_sources_match_unfused_chain(self, heads, lead):
+        rng = np.random.default_rng(heads)
+        q = rng.normal(size=lead + (5, 8))
+        k, v = (rng.normal(size=lead + (6, 8)) for _ in range(2))
+        g = rng.normal(size=q.shape)
         tape = Tape()
-        out = dc.softmax_rows(tape.leaf([[1000.0, 1000.0]]))
-        assert np.allclose(out.value, [[0.5, 0.5]])
+        nodes = [tape.leaf(a, name=n) for n, a in zip("qkv", (q, k, v))]
+        out = dc.attention(*nodes, heads)
+        grads = backward(probed_loss(out, g))
+        expected, dqkv = reference_attention(q, k, v, heads, g)
+        assert same_bits(out.value, expected)
+        for name, d in zip("qkv", dqkv):
+            assert same_bits(grads[name], d), name
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_self_source_sums_the_three_gradients(self, heads):
+        rng = np.random.default_rng(10 + heads)
+        x = rng.normal(size=(2, 5, 8))
+        g = rng.normal(size=x.shape)
+        tape = Tape()
+        src = tape.leaf(x, name="x")
+        out = dc.attention(src, src, src, heads)
+        grads = backward(probed_loss(out, g))
+        expected, (dq, dk, dv) = reference_attention(x, x, x, heads, g)
+        assert same_bits(out.value, expected)
+        # the tape adds the cotangents of its parents in order: q, k, v
+        assert same_bits(grads["x"], dq + dk + dv)
+
+    def test_second_loss_on_one_tape_gets_its_own_gradients(self):
+        rng = np.random.default_rng(20)
+        q, k, v = (rng.normal(size=(2, 4, 6)) for _ in range(3))
+        probes = [rng.normal(size=q.shape) for _ in range(2)]
+
+        def fresh(probe):
+            tape = Tape()
+            out = dc.attention(*(tape.leaf(a, name=n)
+                                 for n, a in zip("qkv", (q, k, v))), 2)
+            return backward(probed_loss(out, probe))
+
+        tape = Tape()
+        out = dc.attention(*(tape.leaf(a, name=n)
+                             for n, a in zip("qkv", (q, k, v))), 2)
+        losses = [probed_loss(out, p) for p in probes]
+        for loss, probe in zip(losses + losses, probes + probes):
+            grads, alone = backward(loss), fresh(probe)
+            for name in "qkv":
+                assert np.array_equal(grads[name], alone[name]), name
+
+    @pytest.mark.parametrize("shapes, heads", [
+        (((4, 6), (4, 6), (4, 6)), 4),
+        (((4, 8), (4, 6), (4, 6)), 2),
+        (((4, 6), (4, 6), (5, 6)), 2),
+        (((4, 6), (4, 6), (4, 8)), 2),
+        (((2, 4, 6), (3, 4, 6), (3, 4, 6)), 2),
+    ], ids=["width-not-divisible", "q-width", "v-rows", "v-width", "batch"])
+    def test_shape_mismatch(self, shapes, heads):
+        tape = Tape()
+        with pytest.raises(ValueError, match="attention shape mismatch"):
+            dc.attention(*(tape.leaf(np.zeros(s)) for s in shapes), heads)
+
+
+class TestReluDropout:
+    def test_matches_relu_then_float_mask(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(3, 6, 8))
+        x[0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+        keep = rng.random(x.shape) >= 0.7
+        g = rng.normal(size=x.shape)
+        g[0, 0, :4] = [1.0, 1.0, -1.0, -1.0]
+        mask = keep / (1.0 - 0.7)
+        tape = Tape()
+        out = dc.relu_dropout(tape.leaf(x, name="x"), keep, 1.0 / (1.0 - 0.7))
+        assert same_bits(out.value, np.maximum(x, 0.0) * mask)
+        grads = backward(probed_loss(out, g))
+        assert same_bits(grads["x"], (g * mask) * (x > 0))
+        zeros = grads["x"][grads["x"] == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    def test_keep_mask_of_wrong_shape_rejected(self):
+        tape = Tape()
+        with pytest.raises(ValueError, match="keep mask shape"):
+            dc.relu_dropout(tape.leaf(np.zeros((2, 3, 4))),
+                            np.ones((3, 4), dtype=bool), 2.0)
 
 
 class TestDilatedConv:
@@ -291,7 +415,8 @@ class TestFiniteDiffCheck:
             w = tape.leaf(p["w"], name="w")
             k = tape.leaf(p["k"], name="k")
             b = tape.leaf(p["b"], name="b")
-            h = dc.softmax_rows(dc.matmul(tape.constant(x), w))
+            h = dc.matmul(tape.constant(x), w)
+            h = dc.attention(h, h, h, 2)
             h = dc.dilated_conv1d_depthwise(h, k, b, 2)
             h = dc.sigmoid(h)
             return dc.reduce(dc.hadamard(h, h), mode="mean")
@@ -309,6 +434,9 @@ def _batch_sum(node):
                      mode="sum")
 
 
+# A fixed keep mask for one video's 5x4 matrix, the same for every video.
+KEEP = np.arange(20).reshape(5, 4) % 3 != 0
+
 # Each case maps a (3, 5, 4) batch x and 2-D weights w (4x4), k (4x3) and
 # b (1x4) to a batched node. "matmul_shared_weight" and "add_rowvec" are the
 # two halves of `linear` alone: a zero bias, and an identity weight.
@@ -318,9 +446,11 @@ BATCHED_OPS = {
         x, w, x.tape.constant(np.zeros((1, 4)))),
     "add_rowvec": lambda x, w, k, b: dc.linear(
         x, x.tape.constant(np.eye(4)), b),
-    "matmul_batched": lambda x, w, k, b: dc.matmul(dc.linear(x, w, b),
-                                                   dc.transpose(x)),
-    "softmax_rows": lambda x, w, k, b: dc.softmax_rows(dc.linear(x, w, b)),
+    "matmul_batched": lambda x, w, k, b: dc.matmul(
+        dc.linear(x, w, b), dc.reshape(x, x.shape[:-2] + (4, 5))),
+    "attention": lambda x, w, k, b: dc.attention(dc.linear(x, w, b), x, x, 2),
+    "relu_dropout": lambda x, w, k, b: dc.relu_dropout(
+        dc.linear(x, w, b), np.broadcast_to(KEEP, x.shape), 1.0 / 0.3),
     "row_norms": lambda x, w, k, b: dc.row_norms(dc.linear(x, w, b)),
     "conv": lambda x, w, k, b: dc.dilated_conv1d_depthwise(x, k, b, 2),
     "concat_cols": lambda x, w, k, b: dc.concat_cols([x,
@@ -329,8 +459,6 @@ BATCHED_OPS = {
                                                 mode="mean"),
     "topk_mean": lambda x, w, k, b: dc.topk_mean(
         dc.row_norms(dc.linear(x, w, b)), 2),
-    "heads": lambda x, w, k, b: dc.transpose(
-        dc.reshape(x, x.shape[:-1] + (2, 2)), -3, -2),
 }
 
 

@@ -70,17 +70,17 @@ class TestInitParams:
 
 
 def record_attention(monkeypatch) -> list[np.ndarray]:
-    """Keep the value of every `diffcore.softmax_rows` call the model
-    makes from now on: the attention that actually runs."""
+    """Keep the weights of every row softmax `diffcore.attention` takes
+    from now on: the attention that actually runs."""
     seen = []
-    softmax_rows = dc.softmax_rows
+    softmax = dc._softmax
 
-    def recording(m):
-        out = softmax_rows(m)
-        seen.append(out.value)
+    def recording(x):
+        out = softmax(x)
+        seen.append(out)
         return out
 
-    monkeypatch.setattr(dc, "softmax_rows", recording)
+    monkeypatch.setattr(dc, "_softmax", recording)
     return seen
 
 
@@ -382,10 +382,8 @@ class TestBatchedForward:
         """The masks drawn into one buffer equal those of one fresh draw per
         video, stacked, from generators of the same seeds."""
         rate, shape = 0.7, (b, 32, width)
-        x = Tape().leaf(np.ones(shape))
-        out = model._dropout(x, [np.random.default_rng([5, slot])
-                                 for slot in range(b)])
+        keep = model._keep_mask(shape, [np.random.default_rng([5, slot])
+                                        for slot in range(b)])
         rngs = [np.random.default_rng([5, slot]) for slot in range(b)]
-        expected = (np.stack([r.random(shape[1:]) for r in rngs])
-                    >= rate) / (1.0 - rate)
-        assert np.array_equal(out.value, expected)
+        expected = np.stack([r.random(shape[1:]) for r in rngs]) >= rate
+        assert keep.dtype == bool and np.array_equal(keep, expected)

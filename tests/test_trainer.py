@@ -201,6 +201,31 @@ class TestTrain:
         last = np.mean([b.bce for _, b in log[-3:]])
         assert last < first
 
+    def test_loss_log_on_disk_covers_every_checkpoint(self, tmp_path,
+                                                      monkeypatch):
+        """At every checkpoint write, the final one included, the loss log
+        on disk already holds a row for each step the checkpoint holds: a
+        run killed after a checkpoint keeps the log of its steps."""
+        ds, _ = tiny_dataset()
+        log_path = tmp_path / "loss_log.csv"
+        on_disk = []  # (checkpoint name, its step, the log's lines)
+
+        def spy(path, cfg, params, state):
+            lines = log_path.read_text().splitlines()
+            on_disk.append((path.name, state.step, lines))
+            return save_checkpoint(path, cfg, params, state)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", spy)
+        cfg = tiny_train_config(epochs=10, checkpoint_every=5)
+        assert trainer.steps_per_epoch(ds, cfg) == 2
+        train(ds, cfg, out_dir=tmp_path, log_path=log_path)
+        assert [(name, step) for name, step, _ in on_disk] == [
+            *((f"step_{s:07d}.mtfc", s) for s in (5, 10, 15, 20)),
+            ("final.mtfc", 20)]
+        final = log_path.read_text().splitlines()
+        for _, step, lines in on_disk:
+            assert lines == final[:1 + step]
+
     def test_loss_log_csv_format(self, tmp_path):
         ds, _ = tiny_dataset()
         log_path = tmp_path / "loss_log.csv"
@@ -377,7 +402,7 @@ class TestCheckpoint:
                 def __exit__(self, *exc):
                     self.f.close()
 
-            monkeypatch.setattr(trainer, "open",
+            monkeypatch.setattr(container, "open",
                                 lambda *a, **k: FullDisk(real_open(*a, **k)),
                                 raising=False)
             expected = OSError
@@ -659,6 +684,17 @@ class TestGradientStaging:
         assert lengths[0] == lengths[1]
         # one tape of batched ops, not one forward per video
         assert lengths[0] < 300
+
+    def test_training_step_records_135_nodes(self):
+        """An 8+8 step at D=16 with dropout: 4 attention blocks of 4
+        `linear`s and one `attention` each, and one `relu_dropout` per
+        hidden classifier layer."""
+        cfg = ModelConfig(d=16, t=32)
+        feats = np.random.default_rng(0).standard_normal((3, 16, 32, 16))
+        total, _ = trainer.batch_loss(
+            model_mod.init_params(cfg, 0), feats, cfg, LossWeights(),
+            [np.random.default_rng(i) for i in range(16)])
+        assert len(total.tape.nodes) == 135
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
