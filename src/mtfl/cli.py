@@ -127,7 +127,7 @@ def _cmd_score(args):
     if None in (args.checkpoint, args.manifest, args.out_dir):
         raise CliError("score requires --checkpoint, --manifest and --out-dir")
     cfg, params, _ = trainer.load_checkpoint(args.checkpoint)
-    dataset = dataio.read_dataset(args.manifest, split="test")
+    dataset = dataio.read_dataset(args.manifest, split="test", t=cfg.model.t)
     if dataset.videos and dataset.videos[0].dim != cfg.model.d:
         raise CliError(f"{args.manifest}: features have "
                        f"D={dataset.videos[0].dim}, checkpoint "
@@ -153,17 +153,14 @@ def _cmd_eval(args):
     dataset = dataio.read_manifest(args.manifest, split="test")
     if not dataset.videos:
         raise CliError(f"{args.manifest}: no videos to evaluate")
-    frame_scores = {}
-    for v in dataset.videos:
-        curve = Path(args.scores_dir) / f"{v.video_id}.csv"
-        scores = metrics.read_score_curve(curve)
-        try:
-            frame_scores[v.video_id] = metrics.video_scores(v, scores)
-        except ValueError as e:
-            raise ValueError(f"{curve}: {e}") from None
+    scores_dir = Path(args.scores_dir)
+    curves = (metrics.read_score_curve(scores_dir / f"{v.video_id}.csv")
+              for v in dataset.videos)
     try:
-        report = metrics.evaluate(dataset.videos, frame_scores,
+        report = metrics.evaluate(dataset.videos, curves,
                                   per_video=args.per_video)
+    except metrics.CurveError as e:
+        raise ValueError(f"{scores_dir / e.video_id}.csv: {e}") from None
     except metrics.DegenerateLabelsError as e:  # frames of one class
         raise CliError(f"{args.manifest}: {e}") from None
     for line in report.summary_lines():

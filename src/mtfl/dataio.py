@@ -185,10 +185,12 @@ def read_manifest(path, split: str = "train") -> Dataset:
     return _parse_manifest(path, split)[0]
 
 
-def read_dataset(path, split: str = "train") -> Dataset:
+def read_dataset(path, split: str = "train", t: int | None = None) -> Dataset:
     """The videos a manifest lists, as VideoRecord records: the manifest's
     text rules first, as `read_manifest` checks them, then each feature
-    file, read once, and the rules of the features."""
+    file, read once, and the rules of the features. With `t`, a video's
+    clips become their `t` snippet means once checked, (3, t, D) values,
+    which `snippet_tensors` at the same `t` gives back bit for bit."""
     path = Path(path)
     manifest, sources = _parse_manifest(path, split)
     videos = []
@@ -200,6 +202,8 @@ def read_dataset(path, split: str = "train") -> Dataset:
                                       v.intervals, clips=clips))
         except ValueError as e:
             raise ManifestError(f"{path}:{lineno}: {e}") from None
+        if t is not None:
+            videos[-1].clips = tuple(segment_to_snippets(c, t) for c in clips)
     return _dataset(path, videos, split)
 
 
@@ -212,6 +216,8 @@ def segment_to_snippets(clips: np.ndarray, t: int) -> np.ndarray:
     n = clips.shape[0]
     if n < 1 or t < 1:
         raise ValueError(f"need N >= 1 and T >= 1, got N={n}, T={t}")
+    if n == t:  # a row a block, as `read_dataset` with `t` leaves them
+        return clips
     lo = np.arange(t) * n // t
     hi = np.arange(1, t + 1) * n // t
     # reduceat sums rows [lo[i], lo[i+1]) and returns row lo[i] alone when

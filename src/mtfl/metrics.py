@@ -46,18 +46,25 @@ def auc_and_ap(scores, labels) -> tuple[float, float]:
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     positive = labels == 1
-    n_pos, n_neg = int(positive.sum()), int((labels == 0).sum())
+    starts = np.flatnonzero(np.r_[True, (scores[1:] != scores[:-1])
+                                  | (positive[1:] != positive[:-1])])
+    return _runs_auc_and_ap(scores[starts],
+                            np.diff(np.append(starts, scores.size)),
+                            positive[starts], int(positive.sum()),
+                            int((labels == 0).sum()))
+
+
+def _runs_auc_and_ap(scores, lengths, positive, n_pos: int, n_neg: int):
+    """`auc_and_ap` of frames cut into runs, in any way: run i is
+    `lengths[i]` frames of score `scores[i]`, positive if `positive[i]`."""
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             f"AUC needs both classes (got {n_pos} positive, {n_neg} negative)")
-    starts = np.flatnonzero(np.r_[True, (scores[1:] != scores[:-1])
-                                  | (positive[1:] != positive[:-1])])
-    lengths = np.diff(np.append(starts, scores.size))
     # Tie groups, numbered in ascending score order: the frames and the
     # positive frames of each.
-    _, group = np.unique(scores[starts], return_inverse=True)
+    _, group = np.unique(scores, return_inverse=True)
     counts = np.bincount(group, weights=lengths)
-    group_tp = np.bincount(group, weights=lengths * positive[starts])
+    group_tp = np.bincount(group, weights=lengths * positive)
     # Each group's average 1-based rank: its last rank less half its ties.
     ranks = np.cumsum(counts) - (counts - 1) / 2.0
     auc = (group_tp @ ranks - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -83,42 +90,64 @@ class EvalReport:
                 f"positives={self.n_pos_frames}", f"negatives={self.n_neg_frames}"]
 
 
-def video_scores(video: VideoEntry, scores) -> np.ndarray:
-    """`scores` as a flat array, checked to hold one finite score per frame
-    of `video`."""
-    scores = np.asarray(scores).ravel()
-    if scores.size != video.n_frames:
-        raise ValueError(f"{video.video_id}: {scores.size} scores for "
-                         f"{video.n_frames} frames")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError(f"{video.video_id}: non-finite frame score")
-    return scores
+class CurveError(ValueError):
+    """Frame scores that do not fit the video `video_id`."""
+    def __init__(self, video_id: str, problem: str):
+        super().__init__(f"{video_id}: {problem}")
+        self.video_id = video_id
 
 
-def evaluate(videos: list[VideoEntry], frame_scores: dict[str, np.ndarray],
+def evaluate(videos: list[VideoEntry], frame_scores,
              per_video: bool = False) -> EvalReport:
-    """Pool frames across all videos into one AUC/AP; optional per-video stats."""
-    all_scores, all_labels = [], []
+    """Pool frames across all videos into one AUC/AP; optional per-video
+    stats. `frame_scores` is a dict of frame scores by video id, or yields
+    them in the order of `videos`. Each video's scores are checked and cut
+    into runs as they arrive; only each run's first frame and score are
+    kept."""
+    if isinstance(frame_scores, dict):
+        frame_scores = [frame_scores[v.video_id] for v in videos]
+    starts, values, edges, offsets = [], [], [], [0]
+    for v, scores in zip(videos, frame_scores, strict=True):
+        scores = np.asarray(scores).ravel()
+        if scores.size != v.n_frames:
+            raise CurveError(v.video_id, f"{scores.size} scores for "
+                             f"{v.n_frames} frames")
+        if not np.all(np.isfinite(scores)):
+            raise CurveError(v.video_id, "non-finite frame score")
+        # A run starts where the score changes or an interval starts or
+        # ends, so each run has one score and one label.
+        cut = np.concatenate(([True], scores[1:] != scores[:-1]))
+        for start, end in sorted(v.intervals):
+            cut[start] = True
+            cut[end:end + 1] = True  # no frame at end == n_frames
+            edges += [offsets[-1] + start, offsets[-1] + end]
+        first = np.flatnonzero(cut)
+        starts.append(first + offsets[-1])
+        values.append(scores[first])
+        offsets.append(offsets[-1] + v.n_frames)
+    total = offsets[-1]
+    run_starts = np.concatenate(starts)
+    run_scores = np.concatenate(values)
+    # A frame is positive when an odd number of edges lie at or before it.
+    positive = np.searchsorted(np.array(edges, dtype=np.int64), run_starts,
+                               side="right") % 2 == 1
+    lengths = np.diff(run_starts, append=total)
+    n_pos = int(lengths[positive].sum())
+    auc, ap = _runs_auc_and_ap(run_scores, lengths, positive, n_pos,
+                               total - n_pos)
     details = {}
-    for v in videos:
-        scores = video_scores(v, frame_scores[v.video_id])
-        gt = frame_ground_truth(v)
-        all_scores.append(scores)
-        all_labels.append(gt)
-        if per_video:
+    if per_video:
+        bounds = np.searchsorted(run_starts, offsets).tolist()
+        for v, a, b in zip(videos, bounds, bounds[1:]):
             entry = {"n_frames": v.n_frames, "label": v.label}
-            if 0 < gt.sum() < gt.size:
-                entry["auc"], entry["ap"] = auc_and_ap(scores, gt)
+            v_pos = sum(end - start for start, end in v.intervals)
+            if 0 < v_pos < v.n_frames:
+                entry["auc"], entry["ap"] = _runs_auc_and_ap(
+                    run_scores[a:b], lengths[a:b], positive[a:b], v_pos,
+                    v.n_frames - v_pos)
             details[v.video_id] = entry
-    pooled_labels = np.concatenate(all_labels)
-    auc, ap = auc_and_ap(np.concatenate(all_scores), pooled_labels)
-    return EvalReport(
-        auc=auc,
-        ap=ap,
-        n_pos_frames=int(pooled_labels.sum()),
-        n_neg_frames=int((pooled_labels == 0).sum()),
-        per_video=details,
-    )
+    return EvalReport(auc=auc, ap=ap, n_pos_frames=n_pos,
+                      n_neg_frames=total - n_pos, per_video=details)
 
 
 def frame_numbers(n_frames: int) -> tuple[str, list[int]]:

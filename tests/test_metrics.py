@@ -176,10 +176,15 @@ class TestVectorizedMatchesLoop:
         """Counting runs of frames gives the frame-by-frame AUC and AP to
         the bit, pooled and per video: tie-heavy 6-decimal scores, interval
         edges inside runs of one score, runs of 0.0 and -0.0 side by side,
-        and one-frame runs."""
+        and one-frame runs. Also the edges that cutting each video into
+        runs adds: intervals that start at frame 0 or end at the last
+        frame, intervals that share an edge, intervals listed out of
+        order, and consecutive videos whose boundary frames share one
+        score and one label, positive (videos 6 and 7) and negative
+        (8 and 9)."""
         rng = np.random.default_rng(seed)
         videos, frame_scores = [], {}
-        for i in range(6):
+        for i in range(10):
             scores = tie_heavy_scores(rng, snippets=int(rng.integers(5, 200)))
             if i % 3 == 1:  # signed zeros, alone and in runs
                 scores[rng.random(scores.size) < 0.2] = 0.0
@@ -188,12 +193,21 @@ class TestVectorizedMatchesLoop:
                 scores = np.round(rng.random(scores.size), 6)
             n = scores.size
             cuts = np.sort(rng.choice(np.arange(1, n), size=6, replace=False))
-            intervals = ([] if i == 0
-                         else [(int(a), int(b)) for a, b in cuts.reshape(3, 2)])
+            a, b, c, d, e, f = cuts.tolist()
+            intervals = {
+                0: [], 1: [(a, b), (c, d), (e, f)],
+                2: [(a, b), (c, d), (e, f)],
+                3: [(0, a), (c, d), (e, n)],  # first and last frame
+                4: [(a, b), (b, c), (e, f)],  # a shared edge
+                5: [(e, f), (a, b), (c, d)],  # out of order
+                6: [(e, n)], 7: [(0, a)], 8: [], 9: []}[i]
+            if i in (7, 9):  # the previous video's last score, carried on
+                scores[:int(rng.integers(1, n))] = last_score
+            last_score = scores[-1]
             video = make_record(f"v{i}", int(bool(intervals)), n, intervals)
             videos.append(video)
             frame_scores[video.video_id] = scores
-            if intervals:
+            if intervals and i < 6:
                 # some interval edge falls inside a run of one score
                 inside = [scores[a - 1] == scores[a] for a in cuts]
                 assert any(inside) or i % 3 == 2
@@ -203,10 +217,20 @@ class TestVectorizedMatchesLoop:
             [metrics.frame_ground_truth(v) for v in videos])
         assert (report.auc, report.ap) == \
             frame_level_auc_and_ap(pooled, pooled_labels)
-        for v in videos[1:]:
+        assert (report.n_pos_frames, report.n_neg_frames) == \
+            (pooled_labels.sum(), (pooled_labels == 0).sum())
+        for v in videos:
             entry = report.per_video[v.video_id]
-            assert (entry["auc"], entry["ap"]) == frame_level_auc_and_ap(
-                frame_scores[v.video_id], metrics.frame_ground_truth(v))
+            if v.intervals:
+                assert (entry["auc"], entry["ap"]) == frame_level_auc_and_ap(
+                    frame_scores[v.video_id], metrics.frame_ground_truth(v))
+            else:
+                assert "auc" not in entry
+        # Curves fed one at a time, as `eval` feeds them, give the same
+        # report as the dict.
+        one_at_a_time = (frame_scores[v.video_id] for v in videos)
+        assert metrics.evaluate(videos, one_at_a_time, per_video=True) \
+            == report
 
     def test_shared_sort_keeps_degenerate_label_rules(self):
         with pytest.raises(DegenerateLabelsError, match="AUC"):
