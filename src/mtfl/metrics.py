@@ -26,37 +26,29 @@ def expand_to_frames(scores: np.ndarray, n_frames: int) -> np.ndarray:
     return scores[idx]
 
 
-def frame_ground_truth(record: VideoEntry) -> np.ndarray:
-    gt = np.zeros(record.n_frames, dtype=np.int64)
-    for start, end in record.intervals:
-        gt[start:end] = 1
-    return gt
-
-
-def auc_and_ap(scores, labels) -> tuple[float, float]:
-    """Mann-Whitney ROC-AUC, with average ranks for ties, and
-    step-integrated AP, where equal scores form one threshold, from one
-    sort of the scores. Both need positive and negative labels.
-
-    Frame scores come in runs of equal values (a snippet's score repeats
-    over its frames), so both count runs of frames that share one score
-    and are all positive or all not, and sort only the runs' scores.
-    Counts and rank sums are integers or half-integers below 2**53, exact
-    in any order, so the result is the frame-by-frame one to the bit."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    positive = labels == 1
-    starts = np.flatnonzero(np.r_[True, (scores[1:] != scores[:-1])
-                                  | (positive[1:] != positive[:-1])])
-    return _runs_auc_and_ap(scores[starts],
-                            np.diff(np.append(starts, scores.size)),
-                            positive[starts], int(positive.sum()),
-                            int((labels == 0).sum()))
+def _runs(scores: np.ndarray, intervals) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a video's float64 frame scores into runs of one score and one
+    label: each run's first frame and its label, the parity of the number of
+    interval edges at or before it. A run starts where an interval starts or
+    ends or the score's bit pattern changes: 0.0 and -0.0 compare equal, but
+    export writes them as different text. AUC and AP are exact in any cut."""
+    bits = scores.view(np.uint64)
+    edges = np.array(sorted(intervals), dtype=np.int64).ravel()
+    cut = np.concatenate(([True], bits[1:] != bits[:-1], [False]))
+    cut[edges] = True  # cut[n_frames] starts no run
+    first = cut[:-1].nonzero()[0]
+    return first, edges.searchsorted(first, side="right") % 2
 
 
 def _runs_auc_and_ap(scores, lengths, positive, n_pos: int, n_neg: int):
-    """`auc_and_ap` of frames cut into runs, in any way: run i is
-    `lengths[i]` frames of score `scores[i]`, positive if `positive[i]`."""
+    """Mann-Whitney ROC-AUC, with average ranks for ties, and
+    step-integrated AP, where equal scores form one threshold, of frames
+    cut into runs in any way: run i is `lengths[i]` frames of score
+    `scores[i]`, positive if `positive[i]`. Both need both classes. Only
+    the runs' scores are sorted, once (a snippet's score repeats over its
+    frames). Counts and rank sums are integers or half-integers below
+    2**53, exact in any order, so the result is the frame-by-frame one to
+    the bit, whatever the cut."""
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             f"AUC needs both classes (got {n_pos} positive, {n_neg} negative)")
@@ -106,31 +98,24 @@ def evaluate(videos: list[VideoEntry], frame_scores,
     kept."""
     if isinstance(frame_scores, dict):
         frame_scores = [frame_scores[v.video_id] for v in videos]
-    starts, values, edges, offsets = [], [], [], [0]
+    starts, values, labels, offsets = [], [], [], [0]
     for v, scores in zip(videos, frame_scores, strict=True):
-        scores = np.asarray(scores).ravel()
+        scores = np.asarray(scores, dtype=np.float64).ravel()
         if scores.size != v.n_frames:
             raise CurveError(v.video_id, f"{scores.size} scores for "
                              f"{v.n_frames} frames")
-        if not np.all(np.isfinite(scores)):
-            raise CurveError(v.video_id, "non-finite frame score")
-        # A run starts where the score changes or an interval starts or
-        # ends, so each run has one score and one label.
-        cut = np.concatenate(([True], scores[1:] != scores[:-1]))
-        for start, end in sorted(v.intervals):
-            cut[start] = True
-            cut[end:end + 1] = True  # no frame at end == n_frames
-            edges += [offsets[-1] + start, offsets[-1] + end]
-        first = np.flatnonzero(cut)
-        starts.append(first + offsets[-1])
+        first, label = _runs(scores, v.intervals)
         values.append(scores[first])
+        # Each frame has the bits of its run's first frame.
+        if not np.isfinite(values[-1]).all():
+            raise CurveError(v.video_id, "non-finite frame score")
+        starts.append(first + offsets[-1])
+        labels.append(label)
         offsets.append(offsets[-1] + v.n_frames)
     total = offsets[-1]
     run_starts = np.concatenate(starts)
     run_scores = np.concatenate(values)
-    # A frame is positive when an odd number of edges lie at or before it.
-    positive = np.searchsorted(np.array(edges, dtype=np.int64), run_starts,
-                               side="right") % 2 == 1
+    positive = np.concatenate(labels) == 1
     lengths = np.diff(run_starts, append=total)
     n_pos = int(lengths[positive].sum())
     auc, ap = _runs_auc_and_ap(run_scores, lengths, positive, n_pos,
@@ -170,15 +155,11 @@ def export_score_curve(video: VideoEntry, frame_scores: np.ndarray, path,
         raise ValueError(
             f"{video.video_id}: {frame_scores.size} scores for {n} frames")
     text, offsets = numbers
-    gt = frame_ground_truth(video)
     # A run of frames that share score and gt is written with one replace.
-    # Scores are compared by bit pattern, so that 0.0 and -0.0, which
-    # compare equal, keep their own text.
-    bits = frame_scores.view(np.uint64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1])
-                                  | (gt[1:] != gt[:-1])]).tolist()
-    runs = zip(starts, starts[1:] + [n], frame_scores[starts].tolist(),
-               gt[starts].tolist())
+    first, label = _runs(frame_scores, video.intervals)
+    starts = first.tolist()
+    runs = zip(starts, starts[1:] + [n], frame_scores[first].tolist(),
+               label.tolist())
     with open_output(path) as fh:
         fh.write("".join(
             text[offsets[a]:offsets[b]].replace("\n", f",{s:.6f},{g}\n")

@@ -13,12 +13,11 @@ import pytest
 from mtfl import container, dataio, metrics, model, trainer
 from mtfl.cli import gradcheck_full_model, run
 from mtfl.dataio import SynthConfig, synth_generate
-from mtfl.metrics import auc_and_ap
 from mtfl.model import ModelConfig
 from mtfl.objective import LossWeights
 from mtfl.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
-from test_metrics import brute_force_ap, brute_force_auc
+from test_metrics import auc_and_ap, brute_force_ap, brute_force_auc
 from test_model import record_attention
 
 

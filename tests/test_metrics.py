@@ -5,7 +5,18 @@ from hypothesis import strategies as st
 
 from mtfl import metrics
 from mtfl.dataio import VideoEntry
-from mtfl.metrics import DegenerateLabelsError, auc_and_ap, expand_to_frames
+from mtfl.metrics import DegenerateLabelsError, expand_to_frames
+
+
+def auc_and_ap(scores, labels):
+    """AUC and AP of `scores` through `metrics.evaluate`, as one video
+    whose intervals are the runs of label 1."""
+    positive = np.asarray(labels).ravel() == 1
+    edges = np.flatnonzero(np.diff(positive, prepend=False, append=False))
+    intervals = list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+    video = make_record(n_frames=positive.size, intervals=intervals)
+    report = metrics.evaluate([video], [scores])
+    return report.auc, report.ap
 
 
 def roc(scores, labels):
@@ -150,7 +161,7 @@ class TestVectorizedMatchesLoop:
         edges = np.sort(rng.choice(scores.size, size=200, replace=False))
         video = make_record(n_frames=scores.size,
                             intervals=list(zip(edges[0::2], edges[1::2])))
-        labels = metrics.frame_ground_truth(video)
+        labels = frame_ground_truth(video)
         report = metrics.evaluate([video], {"v": scores}, per_video=True)
         expected = (roc(scores, labels),
                     descending_sort_average_precision(scores, labels))
@@ -168,8 +179,12 @@ class TestVectorizedMatchesLoop:
         scores = np.repeat(rng.choice(values, size=400),
                            rng.integers(1, 5, size=400))
         labels = rng.integers(0, 2, size=scores.size)
-        assert auc_and_ap(scores, labels) == \
-            frame_level_auc_and_ap(scores, labels)
+        # One-frame runs: `evaluate` rejects non-finite scores.
+        positive = labels == 1
+        got = metrics._runs_auc_and_ap(
+            scores, np.ones(scores.size, dtype=np.int64), positive,
+            int(positive.sum()), int((labels == 0).sum()))
+        assert got == frame_level_auc_and_ap(scores, labels)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_runs_equal_frame_level_pooled_and_per_video(self, seed):
@@ -214,7 +229,7 @@ class TestVectorizedMatchesLoop:
         report = metrics.evaluate(videos, frame_scores, per_video=True)
         pooled = np.concatenate([frame_scores[v.video_id] for v in videos])
         pooled_labels = np.concatenate(
-            [metrics.frame_ground_truth(v) for v in videos])
+            [frame_ground_truth(v) for v in videos])
         assert (report.auc, report.ap) == \
             frame_level_auc_and_ap(pooled, pooled_labels)
         assert (report.n_pos_frames, report.n_neg_frames) == \
@@ -223,7 +238,7 @@ class TestVectorizedMatchesLoop:
             entry = report.per_video[v.video_id]
             if v.intervals:
                 assert (entry["auc"], entry["ap"]) == frame_level_auc_and_ap(
-                    frame_scores[v.video_id], metrics.frame_ground_truth(v))
+                    frame_scores[v.video_id], frame_ground_truth(v))
             else:
                 assert "auc" not in entry
         # Curves fed one at a time, as `eval` feeds them, give the same
@@ -338,10 +353,18 @@ def make_record(vid="v", label=1, n_frames=5, intervals=((2, 4),)):
                       intervals=list(intervals))
 
 
+def frame_ground_truth(video):
+    """One label per frame: 1 inside an interval, 0 outside."""
+    gt = np.zeros(video.n_frames, dtype=np.int64)
+    for start, end in video.intervals:
+        gt[start:end] = 1
+    return gt
+
+
 def per_frame_reference(video, scores) -> bytes:
     """The per-frame loop `export_score_curve` replaced: one formatted
     line per frame."""
-    gt = metrics.frame_ground_truth(video)
+    gt = frame_ground_truth(video)
     lines = [f"{f},{scores[f]:.6f},{gt[f]}" for f in range(video.n_frames)]
     return ("\n".join(lines) + "\n").encode()
 
@@ -349,6 +372,21 @@ def per_frame_reference(video, scores) -> bytes:
 def export(video, scores, path):
     metrics.export_score_curve(video, scores, path,
                                metrics.frame_numbers(video.n_frames))
+
+
+# Interval layouts of a 5000-frame video, each an edge case of the run cut.
+LAYOUTS = {
+    "inside": [(100, 900), (2000, 2001)],
+    "from-frame-0": [(0, 950), (2000, 2001)],
+    "to-n-frames": [(100, 950), (2050, 5000)],
+    "shared-edge": [(100, 950), (950, 2001)],
+    "out-of-order": [(2000, 2001), (3050, 4000), (100, 950)],
+}
+# (score kind, interval layout)
+BYTES_CASES = {kind: (kind, "inside") for kind in
+               ["random", "tie-heavy", "rounding-edges", "float32"]} | {
+    f"{kind}-{layout}": (kind, layout) for layout in list(LAYOUTS)[1:]
+    for kind in ["tie-heavy", "rounding-edges"]}
 
 
 class TestExportScoreCurve:
@@ -370,9 +408,9 @@ class TestExportScoreCurve:
                    for line in path.read_text().splitlines()]
         assert np.allclose(written, frames, atol=5e-7)  # 6-decimal format
 
-    @pytest.mark.parametrize("kind", ["random", "tie-heavy", "rounding-edges",
-                                      "float32"])
-    def test_bytes_equal_per_frame_format(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind, layout", BYTES_CASES.values(),
+                             ids=BYTES_CASES)
+    def test_bytes_equal_per_frame_format(self, tmp_path, kind, layout):
         rng = np.random.default_rng(3)
         n = 5000
         if kind == "random":
@@ -385,7 +423,7 @@ class TestExportScoreCurve:
             scores = rng.choice(edges, size=n)
         else:
             scores = rng.uniform(size=n).astype(np.float32)
-        v = make_record(n_frames=n, intervals=((100, 900), (2000, 2001)))
+        v = make_record(n_frames=n, intervals=LAYOUTS[layout])
         path = tmp_path / "v.csv"
         export(v, scores, path)
         assert path.read_bytes() == per_frame_reference(v, scores)
@@ -528,6 +566,30 @@ class TestEvaluate:
         assert report.n_pos_frames == 2
         assert report.n_neg_frames == 6
         assert "a" in report.per_video
+
+    def test_exported_curves_evaluate_as_formatted_scores(self, tmp_path):
+        """`export_score_curve` -> `read_score_curve` -> `evaluate` gives
+        the report of the in-memory scores as their 6-decimal text reads
+        back, -0.0 kept, under every interval layout and a normal video."""
+        rng = np.random.default_rng(6)
+        videos = [make_record(f"v-{name}", 1, 5000, intervals)
+                  for name, intervals in LAYOUTS.items()]
+        videos.append(make_record("v-normal", 0, 5000, []))
+        in_memory, read = {}, {}
+        for v in videos:
+            # tie-heavy, with runs of 0.0, -0.0 and -4e-7 ("-0.000000")
+            pool = [0.0, -0.0, -4e-7, 0.1234565, 0.5, 1.0,
+                    *rng.uniform(size=4)]
+            scores = expand_to_frames(rng.choice(pool, size=37), 5000)
+            path = tmp_path / f"{v.video_id}.csv"
+            export(v, scores, path)
+            in_memory[v.video_id] = np.array([float(f"{s:.6f}")
+                                              for s in scores])
+            read[v.video_id] = metrics.read_score_curve(path)
+            assert np.array_equal(np.signbit(read[v.video_id]),
+                                  np.signbit(in_memory[v.video_id]))
+        assert metrics.evaluate(videos, read, per_video=True) == \
+            metrics.evaluate(videos, in_memory, per_video=True)
 
     def test_length_mismatch_rejected(self):
         videos = [make_record("a", 1, 4, [(0, 2)])]
