@@ -216,8 +216,6 @@ def segment_to_snippets(clips: np.ndarray, t: int) -> np.ndarray:
     n = clips.shape[0]
     if n < 1 or t < 1:
         raise ValueError(f"need N >= 1 and T >= 1, got N={n}, T={t}")
-    if n == t:  # a row a block, as `read_dataset` with `t` leaves them
-        return clips
     lo = np.arange(t) * n // t
     hi = np.arange(1, t + 1) * n // t
     # reduceat sums rows [lo[i], lo[i+1]) and returns row lo[i] alone when

@@ -33,12 +33,8 @@ def as_matrix(value) -> np.ndarray:
     can push extended-precision values through a build); everything else
     widens to float64. A scalar becomes 1x1 and a vector one row.
     """
-    a = np.asarray(value)
+    a = np.atleast_2d(value)
     a = a.astype(a.dtype if a.dtype.kind == "f" else np.float64, copy=False)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(1, -1)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -240,18 +236,6 @@ def attention(q: Node, k: Node, v: Node, heads: int) -> Node:
         (n, lambda g, i=i: grads(g)[i]) for i, n in enumerate((q, k, v))])
 
 
-def _shift_rows(x: np.ndarray, offset: int) -> np.ndarray:
-    """Rows of each matrix moved by `offset` (positive: downward),
-    zero-filled; rows never cross from one matrix of a batch to the next."""
-    out = np.zeros_like(x)
-    t = x.shape[-2]
-    if 0 < offset < t:
-        out[..., offset:, :] = x[..., :t - offset, :]
-    elif -t < offset <= 0:
-        out[..., :t + offset, :] = x[..., -offset:, :]
-    return out
-
-
 def dilated_conv1d_depthwise(m: Node, kernel: Node, bias: Node,
                              dilation: int) -> Node:
     """Per-channel 3-tap temporal convolution with zero ("same") padding,
@@ -268,21 +252,26 @@ def dilated_conv1d_depthwise(m: Node, kernel: Node, bias: Node,
     if bias.value.shape != (1, d):
         raise ValueError(f"bias shape {bias.value.shape}, expected (1, {d})")
     x, w, b = m.value, kernel.value, bias.value
-    r = dilation
+    r, t = dilation, x.shape[-2]
+
+    def taps(a):
+        # a[t-r] and a[t+r] for each row t: views of `a` with r zero rows
+        # added at either end, so a tap past an end reads zero
+        p = np.zeros(a.shape[:-2] + (t + 2 * r, d), a.dtype)
+        p[..., r:r + t, :] = a
+        return p[..., :t, :], p[..., 2 * r:, :]
+
     # out[t] = w0*x[t-r] + w1*x[t] + w2*x[t+r] + b
-    out = (w[:, 0] * _shift_rows(x, r) + w[:, 1] * x
-           + w[:, 2] * _shift_rows(x, -r) + b)
+    before, after = taps(x)
+    out = w[:, 0] * before + w[:, 1] * x + w[:, 2] * after + b
 
     def vjp_x(g):
-        return (w[:, 0] * _shift_rows(g, -r) + w[:, 1] * g
-                + w[:, 2] * _shift_rows(g, r))
+        g_before, g_after = taps(g)
+        return w[:, 0] * g_after + w[:, 1] * g + w[:, 2] * g_before
 
     def vjp_w(g):
-        gw = np.empty_like(w)
-        gw[:, 0] = _rows(g * _shift_rows(x, r)).sum(axis=0)
-        gw[:, 1] = _rows(g * x).sum(axis=0)
-        gw[:, 2] = _rows(g * _shift_rows(x, -r)).sum(axis=0)
-        return gw
+        return np.stack([_rows(g * tap).sum(axis=0)
+                         for tap in (before, x, after)], axis=1)
 
     return _tape_of(m, kernel, bias)._record(out, [
         (m, vjp_x),

@@ -135,18 +135,19 @@ def evaluate(videos: list[VideoEntry], frame_scores,
                       n_neg_frames=total - n_pos, per_video=details)
 
 
-def frame_numbers(n_frames: int) -> tuple[str, list[int]]:
+def frame_numbers(n_frames: int) -> str:
     """The frame column of a curve, "0\\n1\\n...", up to frame
-    `n_frames` - 1, and the offset at which each line starts, with the
-    text's length last. A shorter curve's column is a prefix of it, so one
-    text serves every curve up to `n_frames` frames."""
-    text = "".join(f"{f}\n" for f in range(n_frames))
-    ends = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == 10) + 1
-    return text, [0, *ends.tolist()]
+    `n_frames` - 1. A shorter curve's column is a prefix of it, so one text
+    serves every curve up to `n_frames` frames."""
+    return "".join(f"{f}\n" for f in range(n_frames))
+
+
+# A frame number f has 1 + (the count of these at or below f) digits.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19)
 
 
 def export_score_curve(video: VideoEntry, frame_scores: np.ndarray, path,
-                       numbers: tuple[str, list[int]]):
+                       numbers: str):
     """One `frame,score,gt` line per frame, fixed 6-decimal formatting.
     `numbers` is a `frame_numbers` column at least as long as the video."""
     frame_scores = np.asarray(frame_scores, dtype=np.float64).ravel()
@@ -154,16 +155,17 @@ def export_score_curve(video: VideoEntry, frame_scores: np.ndarray, path,
     if frame_scores.size != n:
         raise ValueError(
             f"{video.video_id}: {frame_scores.size} scores for {n} frames")
-    text, offsets = numbers
     # A run of frames that share score and gt is written with one replace.
     first, label = _runs(frame_scores, video.intervals)
-    starts = first.tolist()
-    runs = zip(starts, starts[1:] + [n], frame_scores[first].tolist(),
-               label.tolist())
+    # Line f of the column starts after lines 0..f-1, each its digits and a
+    # newline: at f*(d+1) - (10**d - 10)//9 for a d-digit f.
+    f = np.append(first, n)
+    d = 1 + _POWERS_OF_TEN.searchsorted(f, side="right")
+    at = (f * (d + 1) - (10 ** d - 10) // 9).tolist()
+    runs = zip(at, at[1:], frame_scores[first].tolist(), label.tolist())
     with open_output(path) as fh:
-        fh.write("".join(
-            text[offsets[a]:offsets[b]].replace("\n", f",{s:.6f},{g}\n")
-            for a, b, s, g in runs))
+        fh.write("".join(numbers[a:b].replace("\n", f",{s:.6f},{g}\n")
+                         for a, b, s, g in runs))
 
 
 # The weights that turn a line's 8 score bytes, "d.dddddd", into the

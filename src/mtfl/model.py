@@ -44,8 +44,6 @@ class ModelConfig:
             raise ValueError(f"feature dimension D must be >= 2, got {self.d}")
         if self.d % 2 != 0:
             raise ValueError(f"feature dimension D must be even, got {self.d}")
-        if self.d % self.heads != 0:
-            raise ValueError(f"D={self.d} not divisible by heads={self.heads}")
         if (self.d // 2) % self.heads != 0:
             raise ValueError(f"D/2={self.d // 2} not divisible by heads={self.heads}")
         if len(self.hidden) != 2 or min(self.hidden) < 1:

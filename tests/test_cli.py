@@ -229,8 +229,7 @@ def test_gradcheck_every_stage_switch_and_dropout(dropout, stages,
                 if dropout else None)
         return trainer.batch_loss(p, feats, mcfg, cli.GRADCHECK_LOSS, rngs)[0]
 
-    report = finite_diff_check(build, params, eps=cli.GRADCHECK_EPS,
-                               tol=cli.GRADCHECK_TOL)
+    report = finite_diff_check(build, params)
     assert report.passed, (report.max_rel_error, report.worst_coordinate)
 
 

@@ -245,6 +245,9 @@ class TestDilatedConv:
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         out = self._run(x, np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 1)), 2)
         assert np.array_equal(out.ravel(), [0, 0, 1, 2])
+        # A dilation of T or more shifts every row past the end.
+        out = self._run(x, np.array([[1.0, 0.0, 1.0]]), np.zeros((1, 1)), 4)
+        assert np.array_equal(out.ravel(), [0, 0, 0, 0])
 
     def test_zero_dilation_rejected(self):
         with pytest.raises(ValueError, match="dilation"):
@@ -453,6 +456,9 @@ BATCHED_OPS = {
         dc.linear(x, w, b), np.broadcast_to(KEEP, x.shape), 1.0 / 0.3),
     "row_norms": lambda x, w, k, b: dc.row_norms(dc.linear(x, w, b)),
     "conv": lambda x, w, k, b: dc.dilated_conv1d_depthwise(x, k, b, 2),
+    # dilation 5 on T=5: both outer taps fall past the ends
+    "conv_dilation_t": lambda x, w, k, b: dc.dilated_conv1d_depthwise(
+        x, k, b, 5),
     "concat_cols": lambda x, w, k, b: dc.concat_cols([x,
                                                       dc.linear(x, w, b)]),
     "reduce_mean": lambda x, w, k, b: dc.reduce(dc.linear(x, w, b),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -458,6 +460,20 @@ class TestExportScoreCurve:
             path = tmp_path / f"v{n}.csv"
             metrics.export_score_curve(v, scores, path, numbers)
             assert path.read_bytes() == per_frame_reference(v, scores), n
+
+    def test_frame_numbers_hold_only_their_text(self):
+        """What `score` holds while it exports is the column text alone:
+        line starts follow from the frame numbers, so no list of them is
+        kept."""
+        tracemalloc.start()
+        try:
+            numbers = metrics.frame_numbers(200_000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        text = "".join(f"{f}\n" for f in range(200_000))
+        assert numbers == text
+        assert held <= 1.1 * len(text)
 
     def test_reexport_byte_identical(self, tmp_path):
         v = make_record()
