@@ -107,11 +107,14 @@ class Dataset:
 
 
 def write_feature_file(path, matrix: np.ndarray):
-    matrix = np.asarray(matrix, dtype=np.float32)
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"expected 2-D matrix, got ndim={matrix.ndim}")
     if not np.all(np.isfinite(matrix)):
         raise NonFiniteError(f"{path}: refusing to write non-finite values")
+    # checked before the cast, which would turn such a value into inf
+    if np.any(np.abs(matrix) > np.finfo(np.float32).max):
+        raise NonFiniteError(f"{path}: a value is outside float32's range")
     n, d = matrix.shape
     with open_output(path, "wb") as f:
         f.write(frame(MAGIC, VERSION))
@@ -120,14 +123,15 @@ def write_feature_file(path, matrix: np.ndarray):
 
 
 def read_feature_file(path) -> np.ndarray:
-    """Read a feature file, widening to float64 for in-memory work."""
+    """Read a feature file: its (N, D) float32 values, a read-only view of
+    the bytes read, which `segment_to_snippets` sums in float64."""
     r = open_container(path, MAGIC, VERSION)
     n, d = r.u32(), r.u32()
     values = np.frombuffer(r.take(4 * n * d), dtype="<f4").reshape(n, d)
     r.end()
     if not np.all(np.isfinite(values)):
         raise NonFiniteError(f"{path}: payload contains non-finite values")
-    return values.astype(np.float64)
+    return values
 
 
 def parse_intervals(text: str) -> list[tuple[int, int]]:
@@ -220,7 +224,8 @@ def segment_to_snippets(clips: np.ndarray, t: int) -> np.ndarray:
     hi = np.arange(1, t + 1) * n // t
     # reduceat sums rows [lo[i], lo[i+1]) and returns row lo[i] alone when
     # lo[i+1] == lo[i]: the duplication rule. lo[i+1] is hi[i].
-    return np.add.reduceat(clips, lo, axis=0) / np.maximum(hi - lo, 1)[:, None]
+    return (np.add.reduceat(clips, lo, axis=0, dtype=np.float64)
+            / np.maximum(hi - lo, 1)[:, None])
 
 
 def snippet_tensors(videos: list[VideoRecord], t: int) -> np.ndarray:
@@ -270,7 +275,7 @@ def _synth_video(rng, cfg: SynthConfig, direction, video_id, label, with_interva
         share = np.add.reduceat(z, starts) / np.diff(starts, append=n_frames)
         feats = rng.standard_normal((starts.size, cfg.d))
         feats += (ANOMALY_BOOST * share)[:, None] * direction
-        clips.append(feats.astype(np.float32).astype(np.float64))
+        clips.append(feats.astype(np.float32))
     return VideoRecord(video_id, label, n_frames,
                        intervals if (label == 1 and with_intervals) else [],
                        clips=tuple(clips))

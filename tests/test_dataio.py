@@ -49,6 +49,31 @@ class TestFeatureFiles:
         with pytest.raises(TruncationError):
             read_feature_file(p)
 
+    def test_read_returns_float32_as_written(self, tmp_path):
+        m = np.random.default_rng(1).normal(size=(7, 5)).astype(np.float32)
+        p = tmp_path / "a.mtfb"
+        write_feature_file(p, m)
+        back = read_feature_file(p)
+        assert back.dtype == np.float32
+        assert back.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_finite_value_past_float32_range_rejected(self, tmp_path, value):
+        """The range is checked before the cast, which would overflow to
+        inf: one error naming the file, and no file written."""
+        p = tmp_path / "a.mtfb"
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(str(p))}: "
+                           "a value is outside float32's range"):
+            write_feature_file(p, np.array([[value, 0.0]]))
+        assert not p.exists()
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        big = np.finfo(np.float32).max
+        m = np.array([[big, -big]], dtype=np.float64)
+        p = tmp_path / "a.mtfb"
+        write_feature_file(p, m)
+        assert np.array_equal(read_feature_file(p), m)
+
     def test_nan_payload_rejected(self, tmp_path):
         p = tmp_path / "a.mtfb"
         with pytest.raises(NonFiniteError):
@@ -187,6 +212,23 @@ class TestManifest:
                 (b.video_id, b.label, b.n_frames, b.intervals)
             assert all(map(np.array_equal, a.clips, b.clips))
 
+    def test_clips_held_as_float32_and_means_as_float64(self, tmp_path):
+        """Clips keep the files' 4 bytes a value in memory, whether made by
+        `synth_generate` or read back; snippet means read with `t` are
+        float64, the bits of the widened clips' means."""
+        cfg = SynthConfig(n_normal_train=2, n_abnormal_train=2,
+                          n_normal_test=1, n_abnormal_test=1, d=4)
+        train, _ = synth_generate(cfg, 3, out_dir=tmp_path)
+        path = tmp_path / "train_manifest.csv"
+        for ds in (train, read_dataset(path)):
+            assert {c.dtype for v in ds.videos for c in v.clips} == \
+                {np.dtype(np.float32)}
+        for a, b in zip(read_dataset(path, t=5).videos, train.videos):
+            for means, clips in zip(a.clips, b.clips):
+                assert means.dtype == np.float64
+                widened = segment_to_snippets(clips.astype(np.float64), 5)
+                assert means.tobytes() == widened.tobytes()
+
 
 def segment_loop(clips, t):
     """The per-snippet loop `segment_to_snippets` replaced, kept as its
@@ -203,13 +245,15 @@ def segment_loop(clips, t):
     return out
 
 
+SEGMENT_SHAPES = [(1, 1), (1, 32), (5, 32), (31, 32), (32, 32), (33, 32),
+                  (100, 7), (1000, 32), (4001, 70)]
+
+
 class TestSegmentToSnippets:
-    @pytest.mark.parametrize("n,t", [(1, 1), (1, 32), (5, 32), (31, 32),
-                                     (32, 32), (33, 32), (100, 7),
-                                     (1000, 32), (4001, 70)])
+    @pytest.mark.parametrize("n,t", SEGMENT_SHAPES)
     def test_equals_loop(self, n, t):
         rng = np.random.default_rng(n * 100 + t)
-        # float32 values widened to float64, as feature files load
+        # float32 values widened to float64, which sum as float32 clips do
         clips = rng.normal(size=(n, 5)).astype(np.float32).astype(np.float64)
         assert np.array_equal(segment_to_snippets(clips, t),
                               segment_loop(clips, t))
@@ -227,6 +271,26 @@ class TestSegmentToSnippets:
                               segment_loop(widened, t))
         assert np.allclose(segment_to_snippets(clips, t),
                            segment_loop(clips, t), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,t", SEGMENT_SHAPES)
+    def test_float32_clips_sum_as_widened(self, n, t):
+        clips = np.random.default_rng(n * 100 + t).normal(size=(n, 5))
+        clips = clips.astype(np.float32)
+        out = segment_to_snippets(clips, t)
+        assert out.dtype == np.float64
+        assert out.tobytes() == \
+            segment_to_snippets(clips.astype(np.float64), t).tobytes()
+
+    @given(st.integers(1, 400), st.integers(1, 70), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_float32_clips_sum_as_widened_on_random_shapes(self, n, t, d,
+                                                            seed):
+        rng = np.random.default_rng(seed)
+        clips = (rng.normal(size=(n, d)) * rng.uniform(0.01, 1e4))
+        clips = clips.astype(np.float32)
+        assert segment_to_snippets(clips, t).tobytes() == \
+            segment_to_snippets(clips.astype(np.float64), t).tobytes()
 
     def test_pairwise_means(self):
         clips = np.arange(64, dtype=float).reshape(64, 1)

@@ -430,6 +430,49 @@ class TestFiniteDiffCheck:
         assert report.passed, report
 
 
+class TestFiniteDiffCheckSampling:
+    """Past 10,000 coordinates `finite_diff_check` checks a seeded sample of
+    SAMPLED_COORDS of them: one 101x100 leaf has 10,100."""
+
+    W = np.random.default_rng(6).normal(size=(101, 100))
+
+    @classmethod
+    def _check(cls, square, seed=0):
+        calls = []
+
+        def build(p):
+            calls.append(1)
+            tape = Tape()
+            return dc.reduce(square(tape.leaf(p["w"], name="w")), mode="sum")
+
+        return finite_diff_check(build, {"w": cls.W}, seed=seed), len(calls)
+
+    @staticmethod
+    def _wrong_square(w):
+        """w*w with a vjp off by 0.01 g: wrong at every coordinate, most of
+        all where w is near zero."""
+        v = w.value
+        return w.tape._record(v * v, [(w, lambda g: g * (2 * v + 0.01))])
+
+    def test_correct_op_passes_on_the_sample(self):
+        report, calls = self._check(lambda w: dc.hadamard(w, w))
+        assert report.passed, report
+        # the loss, the determinism check, then two builds per coordinate
+        assert calls == 2 + 2 * dc.SAMPLED_COORDS
+
+    def test_wrong_vjp_fails_on_the_sample(self):
+        report, _ = self._check(self._wrong_square)
+        assert not report.passed
+        assert report.max_rel_error > 1e-3
+
+    def test_same_seed_reports_same_worst_coordinate(self):
+        first, second, other = (self._check(self._wrong_square, seed)[0]
+                                for seed in (3, 3, 4))
+        assert first == second
+        # another seed samples other coordinates, so another is the worst
+        assert other.worst_coordinate != first.worst_coordinate
+
+
 def _batch_sum(node):
     """Scalar sum of every entry of a batched node."""
     per_matrix = dc.reduce(node, mode="sum")
