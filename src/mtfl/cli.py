@@ -75,7 +75,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     with open(input_file(args.config), encoding="utf-8") as f:
         try:
             blob = json.load(f)
-        except ValueError as e:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as e:  # not JSON, or not UTF-8
             raise CliError(f"config file {args.config} is not valid JSON: "
                            f"{e}") from None
     if not isinstance(blob, dict):
@@ -126,7 +126,7 @@ def _cmd_train(args):
 def _cmd_score(args):
     if None in (args.checkpoint, args.manifest, args.out_dir):
         raise CliError("score requires --checkpoint, --manifest and --out-dir")
-    cfg, params, _ = trainer.load_checkpoint(args.checkpoint)
+    cfg, params = trainer.load_checkpoint(args.checkpoint)
     dataset = dataio.read_dataset(args.manifest, split="test", t=cfg.model.t)
     if dataset.videos and dataset.videos[0].dim != cfg.model.d:
         raise CliError(f"{args.manifest}: features have "

@@ -102,15 +102,15 @@ def open_output(path, mode: str = "w", buffering: int = -1):
         raise OSError(e.errno, e.strerror, str(path)) from None
 
 
-def open_container(path, magic: bytes, version: int) -> Reader:
-    """Read the file at `path` with one `read`, check its magic and
-    version, and return a Reader standing at the first byte of the body."""
+def open_container(path, magic: bytes, versions) -> Reader:
+    """Read the file at `path` with one `read`, check its magic and that its
+    version (`.version`) is in `versions`; return a Reader at the body."""
     with open(input_file(path), "rb") as f:
         r = Reader(f.read(), path)
     if r.raw[:4] != magic:
         raise BadMagicError(f"{path}: bad magic {bytes(r.raw[:4])!r}")
     r.pos = 4
-    found = r.u32()
-    if found != version:
-        raise VersionError(f"{path}: unsupported version {found}")
+    r.version = r.u32()
+    if r.version not in versions:
+        raise VersionError(f"{path}: unsupported version {r.version}")
     return r

@@ -125,7 +125,7 @@ def write_feature_file(path, matrix: np.ndarray):
 def read_feature_file(path) -> np.ndarray:
     """Read a feature file: its (N, D) float32 values, a read-only view of
     the bytes read, which `segment_to_snippets` sums in float64."""
-    r = open_container(path, MAGIC, VERSION)
+    r = open_container(path, MAGIC, {VERSION})
     n, d = r.u32(), r.u32()
     values = np.frombuffer(r.take(4 * n * d), dtype="<f4").reshape(n, d)
     r.end()

@@ -1,10 +1,11 @@
 """Training loop: Adam with decoupled weight decay, class-balanced batch
 sampling, per-step loss logging, and binary checkpoint round-trips.
 
-Checkpoint layout: magic "MTFC", u32 version, body, u32 CRC-32 of the
-body. The body holds a JSON header (configs, step, seed), the parameter
-tensor table, and the two Adam moment tables; every tensor is serialized
-as name length + name + rows + cols + raw little-endian float64 values.
+Checkpoint layout (version 2): magic "MTFC", u32 version, body, u32 CRC-32
+of the body. The body holds a JSON header (configs, step, seed), the step
+again and the parameter tensor table; every tensor is serialized as name
+length + name + rows + cols + raw little-endian float64 values. A version 1
+body ends with Adam's two moment tables: they load, are checked, and dropped.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .model import ModelConfig
 from .objective import LossBreakdown, LossWeights
 
 CKPT_MAGIC = b"MTFC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 # Adam's moment decay rates and denominator offset: the usual values.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -195,11 +196,11 @@ def train(dataset: Dataset, cfg: TrainConfig, out_dir=None,
             # adam_step has counted this step: state.step is step + 1
             if (out_dir is not None and cfg.checkpoint_every > 0
                     and state.step % cfg.checkpoint_every == 0):
-                save_checkpoint(
-                    Path(out_dir) / f"step_{state.step:07d}.mtfc",
-                    cfg, params, state)
+                save_checkpoint(Path(out_dir) / f"step_{state.step:07d}.mtfc",
+                                cfg, params, state.step)
         if out_dir is not None:
-            save_checkpoint(Path(out_dir) / "final.mtfc", cfg, params, state)
+            save_checkpoint(Path(out_dir) / "final.mtfc", cfg, params,
+                            state.step)
     return params, state, log
 
 
@@ -240,6 +241,8 @@ def _unpack_tensor_table(r: Reader) -> dict[str, np.ndarray]:
             raise FormatError(f"{r.path}: tensor name {raw_name[:40]!r} "
                               f"at byte {r.pos - len(raw_name)} is not "
                               f"UTF-8") from None
+        if name in out:
+            raise FormatError(f"{r.path}: tensor {name} listed twice")
         rows, cols = struct.unpack("<II", r.take(8))
         data = np.frombuffer(r.take(8 * rows * cols), dtype="<f8")
         out[name] = data.reshape(rows, cols).copy()
@@ -315,22 +318,21 @@ def _config_from_json(raw: bytes, path, step: int, tables) -> TrainConfig:
                              if got.get(k) != shapes.get(k)):
                 raise ValueError(f"tensors {odd[:3]} do not fit the model")
         return cfg
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
         raise FormatError(f"{path}: bad checkpoint header "
                           f"({type(e).__name__}: {e})") from None
 
 
 def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
-                    state: AdamState):
+                    step: int):
     """Write to `<path>.tmp`, then rename it over `path`: a write that fails
     or is killed part-way leaves the previous checkpoint at `path` whole.
     Non-finite tensors are refused before anything is written."""
-    _require_finite(path, (params, state.m, state.v))
-    header = json.dumps({"train": asdict(cfg), "step": state.step,
+    _require_finite(path, (params,))
+    header = json.dumps({"train": asdict(cfg), "step": step,
                          "seed": cfg.seed}, sort_keys=True).encode("utf-8")
     body = chain((struct.pack("<I", len(header)), header,
-                  struct.pack("<I", state.step)),
-                 map(_pack_tensor_table, (params, state.m, state.v)))
+                  struct.pack("<I", step)), map(_pack_tensor_table, [params]))
     tmp = Path(output_file(f"{path}.tmp"))
     try:
         with open_output(tmp, "wb") as f:
@@ -347,18 +349,18 @@ def save_checkpoint(path, cfg: TrainConfig, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(path):
-    """Returns (TrainConfig, params, AdamState)."""
-    r = open_container(path, CKPT_MAGIC, CKPT_VERSION)
+    """Returns (TrainConfig, params); a v1 file's moments are dropped."""
+    r = open_container(path, CKPT_MAGIC, {1, CKPT_VERSION})
     # Structural parse first so a chopped file reports truncation, not a
     # checksum mismatch; CRC catches in-place corruption afterwards.
     header = bytes(r.take(r.u32()))
     step = r.u32()
-    params, m, v = (_unpack_tensor_table(r) for _ in range(3))
+    n_tables = 3 if r.version == 1 else 1  # v1: also Adam's m and v
+    tables = [_unpack_tensor_table(r) for _ in range(n_tables)]
     body_end = r.pos
     stored_crc = r.u32()
     r.end()
     if zlib.crc32(r.raw[8:body_end]) != stored_crc:
         raise ChecksumError(f"{path}: CRC mismatch")
-    _require_finite(path, (params, m, v))
-    return (_config_from_json(header, path, step, (params, m, v)), params,
-            AdamState(m=m, v=v, step=step))
+    _require_finite(path, tables)
+    return _config_from_json(header, path, step, tables), tables[0]

@@ -6,9 +6,11 @@ import json
 import os
 import re
 import shutil
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass
@@ -29,8 +31,8 @@ from mtfl.model import ModelConfig
 from mtfl.objective import LossWeights
 from mtfl.trainer import TrainConfig
 
-from test_trainer import (edited_header, first_name_offset, header_of,
-                          older_header, with_header, with_value)
+from test_trainer import (as_v1, edited_header, first_name_offset,
+                          header_of, older_header, with_header, with_value)
 
 
 def run_capture(capsys, argv):
@@ -60,15 +62,35 @@ def write_curves(scores_dir, manifest):
             "".join(f"{f},0.5,0\n" for f in range(v.n_frames)))
 
 
-def run_cli_process(argv, timeout=60, env=(), **kw):
-    """The CLI in a child process, killed after `timeout` seconds, with
-    the variables of `env` set; `kw` goes to `subprocess.run`."""
+def cli_env(env=()) -> dict:
+    """This process's environment, with the variables of `env` set and this
+    checkout's `mtfl` first on PYTHONPATH."""
     src = str(Path(mtfl.__file__).resolve().parents[1])
     env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli_process(argv, timeout=60, env=(), **kw):
+    """The CLI in a child process, killed after `timeout` seconds, with
+    the variables of `env` set; `kw` goes to `subprocess.run`."""
     return subprocess.run([sys.executable, "-m", "mtfl.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
-                          env=env, **kw)
+                          env=cli_env(env), **kw)
+
+
+def cli_process(argv) -> subprocess.Popen:
+    """The CLI started in a child process, its output discarded."""
+    return subprocess.Popen([sys.executable, "-m", "mtfl.cli", *argv],
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, env=cli_env())
+
+
+def as_v1_with_zero_moments(ckpt) -> bytes:
+    """The version 2 checkpoint at `ckpt` as a version 1 file, its Adam
+    moments zeros."""
+    zeros = trainer.AdamState.zeros_like(trainer.load_checkpoint(ckpt)[1])
+    return as_v1(ckpt.read_bytes(), zeros.m, zeros.v)
 
 
 def train_small(tmp_path, data, extra=()):
@@ -534,17 +556,20 @@ class TestScoreEvalCommands:
         assert not scores.exists()
 
     def test_checkpoint_from_older_version_scores(self, tmp_path, capsys):
-        """A header as older versions wrote it (`older_header`), and one
-        that holds only `weight_decay` and `model.dropout` besides this
-        version's keys, as written before both were constants, score the
-        same curve bytes as the header this version writes."""
+        """A header as older versions wrote it (`older_header`), one that
+        holds only `weight_decay` and `model.dropout` besides this version's
+        keys, as written before both were constants, and a version 1 file
+        with Adam moment tables score the same curve bytes as the file this
+        version writes."""
         data = small_synth(tmp_path)
-        raw = (train_small(tmp_path, data) / "final.mtfc").read_bytes()
+        ckpt = train_small(tmp_path, data) / "final.mtfc"
+        raw = ckpt.read_bytes()
         header = json.loads(header_of(raw))
         forms = {"current": raw,
                  "older": with_header(raw, older_header(header)),
                  "with-decay-and-dropout": with_header(raw, edited_header(
-                     header, weight_decay=0.0005, model={"dropout": 0.7}))}
+                     header, weight_decay=0.0005, model={"dropout": 0.7})),
+                 "version-1": as_v1_with_zero_moments(ckpt)}
         curves = {}
         for name, blob in forms.items():
             ckpt, scores = tmp_path / f"{name}.mtfc", tmp_path / name
@@ -557,7 +582,7 @@ class TestScoreEvalCommands:
             curves[name] = {p.name: p.read_bytes() for p in scores.iterdir()}
         assert curves["current"]
         assert (curves["older"] == curves["current"]
-                == curves["with-decay-and-dropout"])
+                == curves["with-decay-and-dropout"] == curves["version-1"])
 
     @pytest.mark.parametrize("edit", [
         lambda h: b"{not json",
@@ -571,11 +596,12 @@ class TestScoreEvalCommands:
         lambda h: edited_header(h, model={"heads": 2.0}),
         lambda h: edited_header(h, model={"use_pfl": "no"}),
         lambda h: edited_header(h, model={"use_ff": False}),
+        lambda h: b"[" * 200_000 + b"]" * 200_000,
     ], ids=["invalid-json", "empty-train-config", "retired-beta1-changed",
             "retired-dilation-changed", "unequal-batch-halves",
             "retired-weight-decay-changed", "retired-dropout-changed",
             "heads-0", "heads-float", "use-pfl-string",
-            "ff-tensors-without-use-ff"])
+            "ff-tensors-without-use-ff", "nested-too-deep"])
     def test_unparsable_checkpoint_header_is_runtime_error(
             self, tmp_path, capsys, edit):
         data = small_synth(tmp_path)
@@ -722,7 +748,9 @@ class TestScoreEvalCommands:
                                                     table, name, value):
         data = small_synth(tmp_path)
         ckpt = train_small(tmp_path, data) / "final.mtfc"
-        ckpt.write_bytes(with_value(ckpt.read_bytes(), table, name, value))
+        # a moment table: only version 1 files hold them
+        raw = as_v1_with_zero_moments(ckpt) if table else ckpt.read_bytes()
+        ckpt.write_bytes(with_value(raw, table, name, value))
         code, _, err = run_capture(capsys, [
             "score", "--checkpoint", str(ckpt),
             "--manifest", str(data / "test_manifest.csv"),
@@ -955,7 +983,7 @@ class TestConfigFilePrecedence:
             "train", "--config", str(cfg), "--out-dir", str(out)])
         assert code == 0, err
         from mtfl.trainer import load_checkpoint
-        tcfg, _, _ = load_checkpoint(out / "final.mtfc")
+        tcfg, _ = load_checkpoint(out / "final.mtfc")
         assert tcfg.epochs == 1 and tcfg.learning_rate == 1e-3
         assert tcfg.model.hidden == (8, 4) and not tcfg.model.use_pfl
 
@@ -1026,6 +1054,20 @@ class TestConfigFilePrecedence:
         assert code == 1
         assert_one_line_error(err)
         assert str(cfg) in err
+
+    @pytest.mark.parametrize("command", ["gradcheck", "train"])
+    def test_config_nested_too_deep_rejected(self, tmp_path, capsys,
+                                             command):
+        """JSON nested deeper than the decoder recurses is not valid JSON:
+        the whole file, or the value of one key."""
+        deep = "[" * 200_000 + "]" * 200_000
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(deep if command == "gradcheck"
+                       else f'{{"seed": {deep}}}')
+        code, _, err = run_capture(capsys, [command, "--config", str(cfg)])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"config file {cfg} is not valid JSON" in err
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
@@ -1109,17 +1151,22 @@ def test_output_that_is_a_fifo_is_runtime_error(tmp_path, output):
 
 def test_write_past_file_size_limit_names_the_file(tmp_path):
     """A write that fails at the file-size limit raises an OSError that
-    names no file. `train` under a 200 KB limit, set in its own child
-    process, fails writing its first checkpoint: one error line that names
-    the checkpoint's .tmp, and no .tmp left behind."""
+    names no file. `train` under a 200 KB limit, below the size of one of
+    its checkpoints, set in its own child process with SIGXFSZ ignored,
+    fails writing its first checkpoint: one error line that names the
+    checkpoint's .tmp, and no .tmp left behind."""
     resource = pytest.importorskip("resource")
+    limit = 200_000
+    params = model.init_params(ModelConfig(d=16, t=32), 0)
+    assert 8 * sum(p.size for p in params.values()) > limit
     data = tmp_path / "data"
     assert run(["synth", "--out-dir", str(data), "--normal", "8",
                 "--abnormal", "8", "--d", "16", "--seed", "1"]) == 0
     out = tmp_path / "run"
 
     def limit_file_size():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 
     proc = run_cli_process(
         ["train", "--manifest", str(data / "train_manifest.csv"),
@@ -1130,6 +1177,41 @@ def test_write_past_file_size_limit_names_the_file(tmp_path):
     assert_one_line_error(proc.stderr)
     assert f"{out / 'step_0000005.mtfc.tmp'}'" in proc.stderr
     assert sorted(p.name for p in out.iterdir()) == ["loss_log.csv"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL")
+def test_killed_train_leaves_loadable_checkpoints(tmp_path):
+    """`train --checkpoint-every 1` in a child process, killed by SIGKILL at
+    three seeded delays after its first checkpoint appears: every
+    checkpoint left behind loads, and the loss log holds a row for each
+    step of the newest one."""
+    data = small_synth(tmp_path)
+    delays = np.random.default_rng(27).uniform(0.0, 0.4, size=3)
+    for i, delay in enumerate(delays):
+        out = tmp_path / f"run_{i}"
+        proc = cli_process(["train", "--manifest",
+                            str(data / "train_manifest.csv"), "--out-dir",
+                            str(out), "--epochs", "1000", "--batch-half",
+                            "2", "--seed", str(i), "--t", "8", "--heads",
+                            "2", "--checkpoint-every", "1"])
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "step_0000001.mtfc").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            time.sleep(delay)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        steps = sorted(int(c.stem.removeprefix("step_"))
+                       for c in out.glob("step_*.mtfc"))
+        assert steps and not (out / "final.mtfc").exists()
+        for c in out.glob("*.mtfc"):
+            trainer.load_checkpoint(c)
+        rows = (out / "loss_log.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows[:steps[-1]]] == list(
+            range(steps[-1]))
 
 
 def test_readme_cli_section_matches_parser():

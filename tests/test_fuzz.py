@@ -23,8 +23,8 @@ from mtfl.container import FormatError
 from mtfl.metrics import _read_curve_lines, read_score_curve
 from mtfl.trainer import load_checkpoint, save_checkpoint, train
 
-from test_trainer import (header_of, tiny_dataset, tiny_train_config,
-                          with_header)
+from test_trainer import (V1_FIXTURE, header_of, tiny_dataset,
+                          tiny_train_config, with_header)
 
 FUZZ = settings(max_examples=50, deadline=timedelta(seconds=5))
 
@@ -246,11 +246,12 @@ def test_mutated_feature_file_raises_only_format_error(feature_file, data):
 
 def structure_offsets(raw: bytes) -> list[int]:
     """Offsets of the checkpoint bytes that steer its parse: magic,
-    version, lengths, tensor names and shapes."""
-    (n,) = struct.unpack_from("<I", raw, 8)
+    version, lengths, tensor names and shapes. A version 1 file holds three
+    tensor tables, a version 2 file one."""
+    version, n = struct.unpack_from("<II", raw, 4)
     offsets = list(range(12))
     pos = 12 + n + 4
-    for _table in range(3):
+    for _table in range(3 if version == 1 else 1):
         (count,) = struct.unpack_from("<I", raw, pos)
         offsets += range(pos, pos + 4)
         pos += 4
@@ -268,14 +269,37 @@ def checkpoint(tmp_path_factory):
     cfg = tiny_train_config(epochs=1)
     params, state, _ = train(ds, cfg)
     path = tmp_path_factory.mktemp("fuzz_ckpt") / "ckpt.mtfc"
-    save_checkpoint(path, cfg, params, state)
+    save_checkpoint(path, cfg, params, state.step)
     raw = path.read_bytes()
+    return path, raw, structure_offsets(raw)
+
+
+@pytest.fixture(scope="module")
+def v1_checkpoint(tmp_path_factory):
+    """A copy of the version 1 file that the code before version 2 wrote."""
+    path = tmp_path_factory.mktemp("fuzz_v1_ckpt") / "ckpt.mtfc"
+    raw = V1_FIXTURE.read_bytes()
+    path.write_bytes(raw)
     return path, raw, structure_offsets(raw)
 
 
 @FUZZ
 @given(data=st.data())
 def test_mutated_checkpoint_raises_only_checkpoint_error(checkpoint, data):
+    mutate_and_load(checkpoint, data)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_v1_checkpoint_raises_only_checkpoint_error(v1_checkpoint,
+                                                            data):
+    mutate_and_load(v1_checkpoint, data)
+
+
+def mutate_and_load(checkpoint, data):
+    """Flip bytes of the checkpoint, anywhere or where they steer its
+    parse, or cut it short, then load it: it loads, or raises a
+    FormatError naming the file."""
     path, raw, structure = checkpoint
     anywhere = st.integers(0, len(raw) - 1)
     ops = data.draw(st.lists(st.one_of(
@@ -346,7 +370,7 @@ def test_header_value_loads_typed_or_raises_checkpoint_error(checkpoint,
     edited = replaced(header, leaf, data.draw(json_values))
     path.write_bytes(with_header(raw, json.dumps(edited).encode()))
     try:
-        cfg, _, _ = load_checkpoint(path)
+        cfg, _ = load_checkpoint(path)
     except FormatError as e:
         assert str(path) in str(e)
     else:

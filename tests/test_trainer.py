@@ -5,6 +5,7 @@ import re
 import struct
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,10 +211,10 @@ class TestTrain:
         log_path = tmp_path / "loss_log.csv"
         on_disk = []  # (checkpoint name, its step, the log's lines)
 
-        def spy(path, cfg, params, state):
+        def spy(path, cfg, params, step):
             lines = log_path.read_text().splitlines()
-            on_disk.append((path.name, state.step, lines))
-            return save_checkpoint(path, cfg, params, state)
+            on_disk.append((path.name, step, lines))
+            return save_checkpoint(path, cfg, params, step)
 
         monkeypatch.setattr(trainer, "save_checkpoint", spy)
         cfg = tiny_train_config(epochs=10, checkpoint_every=5)
@@ -251,10 +252,51 @@ def with_header(raw: bytes, header: bytes) -> bytes:
     return raw[:8] + body + struct.pack("<I", zlib.crc32(body))
 
 
+def packed(entries) -> bytes:
+    """A checkpoint tensor table of the (name, 2-D array) `entries`, in the
+    order given: so a name can be listed twice."""
+    chunks = [struct.pack("<I", len(entries))]
+    for name, tensor in entries:
+        raw = name.encode()
+        chunks += [struct.pack("<I", len(raw)), raw,
+                   struct.pack("<II", *tensor.shape),
+                   np.asarray(tensor, dtype="<f8").tobytes()]
+    return b"".join(chunks)
+
+
+def params_table(raw: bytes) -> bytes:
+    """The parameter table of version 2 checkpoint `raw`."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    return raw[12 + n + 4:-4]
+
+
+def with_tables(raw: bytes, *tables: bytes, version: int) -> bytes:
+    """The checkpoint `raw` with version `version`, its header and step, the
+    packed tensor tables `tables` in place of its own, and a valid CRC."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    body = raw[8:12 + n + 4] + b"".join(tables)
+    return (raw[:4] + struct.pack("<I", version) + body
+            + struct.pack("<I", zlib.crc32(body)))
+
+
+def as_v1(raw: bytes, m: dict, v: dict) -> bytes:
+    """Version 2 checkpoint `raw` as version 1 wrote it: with Adam's moment
+    tables `m` and `v` after the parameters."""
+    return with_tables(raw, params_table(raw), packed(sorted(m.items())),
+                       packed(sorted(v.items())), version=1)
+
+
+# A version 1 checkpoint written by the code before version 2: the
+# parameters, config and Adam moments of train(tiny_dataset()[0],
+# V1_CONFIG), saved by that version's save_checkpoint.
+V1_FIXTURE = Path(__file__).parent / "data" / "v1_tiny.mtfc"
+V1_CONFIG = tiny_train_config(epochs=1, seed=3)
+
+
 def with_value(raw: bytes, table: int, name: str, value: float) -> bytes:
     """The checkpoint `raw` with entry [0, 0] of tensor `name` in table
-    `table` (0: parameters, 1 and 2: Adam's moments) set to `value`, and a
-    valid CRC."""
+    `table` (0: parameters; in version 1, 1 and 2: Adam's moments) set to
+    `value`, and a valid CRC."""
     (n,) = struct.unpack_from("<I", raw, 8)
     pos = 12 + n + 4
     for t in range(table + 1):
@@ -310,22 +352,104 @@ class TestCheckpoint:
         cfg = tiny_train_config(epochs=1)
         params, state, _ = train(ds, cfg)
         path = tmp_path / "ckpt.mtfc"
-        save_checkpoint(path, cfg, params, state)
+        save_checkpoint(path, cfg, params, state.step)
         return cfg, params, state, path
 
     def test_round_trip_bit_exact(self, tmp_path):
         cfg, params, state, path = self._trained(tmp_path)
-        cfg2, params2, state2 = load_checkpoint(path)
+        cfg2, params2 = load_checkpoint(path)
         assert cfg2 == cfg
-        assert state2.step == state.step
+        assert json.loads(header_of(path.read_bytes()))["step"] == state.step
         for k in params:
             assert np.array_equal(params[k], params2[k])
-            assert np.array_equal(state.m[k], state2.m[k])
-            assert np.array_equal(state.v[k], state2.v[k])
-        # saving the reloaded state reproduces the same bytes
+        # saving the reloaded checkpoint reproduces the same bytes
         path2 = tmp_path / "again.mtfc"
-        save_checkpoint(path2, cfg2, params2, state2)
+        save_checkpoint(path2, cfg2, params2, state.step)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_written_as_version_2_with_one_table(self, tmp_path):
+        """Magic, version 2, the header, the step, the parameter table and
+        the CRC: nothing else."""
+        cfg, params, state, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        header = header_of(raw)
+        body = (struct.pack("<I", len(header)) + header
+                + struct.pack("<I", state.step)
+                + packed(sorted(params.items())))
+        assert raw == (b"MTFC" + struct.pack("<I", 2) + body
+                       + struct.pack("<I", zlib.crc32(body)))
+
+    def test_v1_file_loads_as_the_same_training_gives_now(self):
+        """A version 1 file written by the code before version 2 loads with
+        the config it was trained with and the parameters the same seeded
+        training gives now, bit for bit, and scores the same."""
+        ds, test_ds = tiny_dataset()
+        params, state, _ = train(ds, V1_CONFIG)
+        cfg, loaded = load_checkpoint(V1_FIXTURE)
+        assert cfg == V1_CONFIG
+        assert loaded.keys() == params.keys()
+        for k in params:
+            assert np.array_equal(params[k], loaded[k])
+        batch = 2 * cfg.batch_half
+        scored = zip(
+            trainer.score_videos(test_ds.videos, params, cfg.model, batch),
+            trainer.score_videos(test_ds.videos, loaded, cfg.model, batch),
+            strict=True)
+        for a, b in scored:
+            assert np.array_equal(a, b)
+
+    def test_as_v1_writes_the_bytes_version_1_wrote(self, tmp_path):
+        """The test helper `as_v1`, given the same training's moments, makes
+        the version 1 file's bytes exactly."""
+        ds, _ = tiny_dataset()
+        params, state, _ = train(ds, V1_CONFIG)
+        path = tmp_path / "ckpt.mtfc"
+        save_checkpoint(path, V1_CONFIG, params, state.step)
+        assert as_v1(path.read_bytes(), state.m, state.v) == (
+            V1_FIXTURE.read_bytes())
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_version_other_than_1_or_2_is_version_error(self, tmp_path,
+                                                        version):
+        _, _, _, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(with_tables(raw, params_table(raw), version=version))
+        with pytest.raises(container.VersionError,
+                           match=f"{re.escape(str(path))}: unsupported "
+                                 f"version {version}"):
+            load_checkpoint(path)
+
+    def test_version_2_with_moment_tables_is_truncation_error(self,
+                                                              tmp_path):
+        """A version 2 file holds one table: two more after it are trailing
+        bytes, even with a valid CRC over them."""
+        _, _, state, path = self._trained(tmp_path)
+        v1 = as_v1(path.read_bytes(), state.m, state.v)
+        path.write_bytes(v1[:4] + struct.pack("<I", 2) + v1[8:])
+        with pytest.raises(container.TruncationError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [2, 1])
+    def test_tensor_listed_twice_is_checkpoint_error(self, tmp_path,
+                                                     version):
+        """A table that lists a name twice, the second copy holding 123.0:
+        the parameter table of a version 2 file, the first moment table of
+        a version 1 file."""
+        _, params, state, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        twice = [("clf.fc3_b", np.array([[123.0]]))]
+        if version == 2:
+            raw = with_tables(raw, packed(sorted(params.items()) + twice),
+                              version=2)
+        else:
+            raw = with_tables(raw, params_table(raw),
+                              packed(sorted(state.m.items()) + twice),
+                              packed(sorted(state.v.items())), version=1)
+        path.write_bytes(raw)
+        with pytest.raises(FormatError,
+                           match=f"{re.escape(str(path))}: tensor clf.fc3_b "
+                                 f"listed twice"):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
@@ -370,16 +494,11 @@ class TestCheckpoint:
         before = path.read_bytes()
         newer = {k: v + 1.0 for k, v in params.items()}
         if failure == "tensor-table":
-            pack = trainer._pack_tensor_table
-            packed = []
-
             def pack_then_fail(tensors):
-                # the parameter table is written, then packing a moment
-                # table fails
-                if packed:
-                    raise MemoryError("simulated")
-                packed.append(tensors)
-                return pack(tensors)
+                # the header is written to the .tmp, then packing the
+                # parameter table fails
+                assert (tmp_path / "ckpt.mtfc.tmp").exists()
+                raise MemoryError("simulated")
             monkeypatch.setattr(trainer, "_pack_tensor_table", pack_then_fail)
             expected = MemoryError
         else:
@@ -407,7 +526,7 @@ class TestCheckpoint:
                                 raising=False)
             expected = OSError
         with pytest.raises(expected):
-            save_checkpoint(path, cfg, newer, state)
+            save_checkpoint(path, cfg, newer, state.step)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
@@ -416,25 +535,23 @@ class TestCheckpoint:
         (2, "clf.fc3_b", -math.inf)], ids=["param-nan", "m-inf", "v-neg-inf"])
     def test_non_finite_tensor_is_checkpoint_error(self, tmp_path, table,
                                                     name, value):
-        _, _, _, path = self._trained(tmp_path)
-        path.write_bytes(with_value(path.read_bytes(), table, name, value))
+        _, _, state, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        if table > 0:  # a moment table: only version 1 files hold them
+            raw = as_v1(raw, state.m, state.v)
+        path.write_bytes(with_value(raw, table, name, value))
         with pytest.raises(container.NonFiniteError,
                            match=f"{re.escape(str(path))}: tensor {name} "):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("table", ["params", "m", "v"])
-    def test_save_refuses_non_finite_tensor(self, tmp_path, table):
+    def test_save_refuses_non_finite_tensor(self, tmp_path):
         cfg, params, state, path = self._trained(tmp_path)
         before = path.read_bytes()
         bad = {k: v.copy() for k, v in params.items()}
         bad["clf.fc1_w"][0, 0] = math.nan
-        if table == "params":
-            params = bad
-        else:
-            setattr(state, table, bad)
         with pytest.raises(container.NonFiniteError,
                            match=f"{re.escape(str(path))}: tensor clf.fc1_w "):
-            save_checkpoint(path, cfg, params, state)
+            save_checkpoint(path, cfg, bad, state.step)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
@@ -445,15 +562,25 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+        # the last value of a version 1 file's second moment table
+        raw = bytearray(V1_FIXTURE.read_bytes())
+        raw[-5] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(container.ChecksumError):
+            load_checkpoint(path)
 
     def test_header_with_retired_workers_key_loads(self, tmp_path):
-        cfg, params, _, path = self._trained(tmp_path)
-        header = json.loads(header_of(path.read_bytes()))
-        path.write_bytes(with_header(path.read_bytes(), older_header(header)))
-        cfg2, params2, _ = load_checkpoint(path)
-        assert cfg2 == cfg
-        for k in params:
-            assert np.array_equal(params[k], params2[k])
+        """An older header loads, in a version 2 file and in a version 1
+        file."""
+        cfg, params, state, path = self._trained(tmp_path)
+        raw = path.read_bytes()
+        header = older_header(json.loads(header_of(raw)))
+        for blob in (raw, as_v1(raw, state.m, state.v)):
+            path.write_bytes(with_header(blob, header))
+            cfg2, params2 = load_checkpoint(path)
+            assert cfg2 == cfg
+            for k in params:
+                assert np.array_equal(params[k], params2[k])
 
     @pytest.mark.parametrize("edit", [
         lambda h: b"{not json",
@@ -494,6 +621,7 @@ class TestCheckpoint:
         lambda h: json.dumps({**h, "step": h["step"] + 1}).encode(),
         lambda h: json.dumps({**h, "seed": 7}).encode(),
         lambda h: json.dumps({**h, "step": float(h["step"])}).encode(),
+        lambda h: b"[" * 200_000 + b"]" * 200_000,
     ], ids=["invalid-json", "invalid-utf8", "missing-field", "unknown-field",
             "unknown-model-field", "missing-step", "unknown-top-level-key",
             "not-an-object", "retired-beta1-changed",
@@ -506,7 +634,8 @@ class TestCheckpoint:
             "batch-half-float", "epochs-bool", "older-batch-halves-float",
             "older-batch-halves-int-and-float",
             "pfl-tensors-without-use-pfl", "hidden-not-the-tensors",
-            "step-not-stored", "seed-not-train-seed", "step-float"])
+            "step-not-stored", "seed-not-train-seed", "step-float",
+            "nested-too-deep"])
     def test_unparsable_header_is_checkpoint_error(self, tmp_path, edit):
         _, _, _, path = self._trained(tmp_path)
         raw = path.read_bytes()
@@ -518,13 +647,13 @@ class TestCheckpoint:
 
     def test_tensor_tables_must_match_header(self, tmp_path):
         """A `--disable-ff` checkpoint whose header claims FF, and a
-        checkpoint whose Adam moment table lacks a tensor."""
+        version 1 checkpoint whose Adam moment table lacks a tensor."""
         ds, _ = tiny_dataset()
         cfg = tiny_train_config(epochs=1,
                                 model=replace(TINY_MODEL, use_ff=False))
         params, state, _ = train(ds, cfg)
         path = tmp_path / "ckpt.mtfc"
-        save_checkpoint(path, cfg, params, state)
+        save_checkpoint(path, cfg, params, state.step)
         raw = path.read_bytes()
         path.write_bytes(with_header(raw, edited_header(
             json.loads(header_of(raw)), model={"use_ff": True})))
@@ -532,7 +661,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=bad_header):
             load_checkpoint(path)
         state.m.pop("clf.fc3_b")
-        save_checkpoint(path, cfg, params, state)
+        path.write_bytes(as_v1(raw, state.m, state.v))
         with pytest.raises(FormatError, match=bad_header):
             load_checkpoint(path)
 
@@ -541,7 +670,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(with_header(raw, edited_header(
             json.loads(header_of(raw)), loss={"margin": 100, "lambda1": 0})))
-        cfg2, _, _ = load_checkpoint(path)
+        cfg2, _ = load_checkpoint(path)
         assert cfg2 == replace(cfg, loss=replace(cfg.loss, margin=100.0,
                                                  lambda1=0.0))
         assert type(cfg2.loss.margin) is float
@@ -550,7 +679,7 @@ class TestCheckpoint:
     def test_scoring_with_reloaded_checkpoint_matches(self, tmp_path):
         cfg, params, state, path = self._trained(tmp_path)
         _, test_ds = tiny_dataset()
-        _, params2, _ = load_checkpoint(path)
+        _, params2 = load_checkpoint(path)
         batch = 2 * cfg.batch_half
         scored = zip(
             trainer.score_videos(test_ds.videos, params, cfg.model, batch),
